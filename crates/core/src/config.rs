@@ -26,8 +26,9 @@ pub struct DhcConfig {
     pub partitions: Option<usize>,
     /// Hard cap on simulated rounds per protocol phase.
     pub max_rounds: usize,
-    /// Per-edge-per-round bandwidth in `Θ(log n)`-bit words. The protocol
-    /// messages carry up to ~9 ids, i.e. still `O(log n)` bits; the default
+    /// Per-edge-per-round bandwidth in `Θ(log n)`-bit words. Every
+    /// protocol message is an enum of `u32` words (ids, indices, sizes)
+    /// carrying up to 9 of them, i.e. still `O(log n)` bits; the default
     /// budget of 16 words keeps the CONGEST discipline (constant words per
     /// edge per round) while letting one protocol message fit in one round.
     pub bandwidth_words: usize,
@@ -60,17 +61,6 @@ pub struct DhcConfig {
     /// the sequential fold bit for bit; the knob exists for
     /// benchmarking and the equivalence suites.
     pub commit_shards: usize,
-    /// Protocol messages travel as **word-packed** wire values
-    /// ([`dhc_congest::PackedMsg`], 28 bytes inline) instead of the
-    /// padded logical enums when `true` — the memory-lean hot path for
-    /// million-node runs. Outcomes, [`dhc_congest::Metrics`], and
-    /// traces are **bit-identical** either way: packing changes only
-    /// the in-memory representation, never the CONGEST word accounting
-    /// (pinned by `crates/core/tests/packed_equivalence.rs`). Applies
-    /// to the DRA (Phase 1), the DHC1 hypernode stitch, Upcast, and
-    /// DHC2's merge levels (whose 9-word bridge decisions ride a wider
-    /// `PackedMsg<9>` wire, 40 bytes vs 56 for the enum).
-    pub packed_payloads: bool,
     /// Phase 1 runs each color class as a **zero-copy**
     /// [`dhc_graph::ClassView`] over one shared
     /// [`dhc_graph::PartitionedGraph`] by default (`false`). Setting
@@ -126,7 +116,6 @@ impl DhcConfig {
             commit_shards: 0,
             materialize_phase1: false,
             record_round_traffic: true,
-            packed_payloads: false,
             adversary: None,
             collector: None,
         }
@@ -187,14 +176,6 @@ impl DhcConfig {
     /// [`materialize_phase1`](Self::materialize_phase1).
     pub fn with_materialized_phase1(mut self, materialize: bool) -> Self {
         self.materialize_phase1 = materialize;
-        self
-    }
-
-    /// `true` sends protocol messages in the word-packed wire form —
-    /// the memory-lean path. Never changes results; see
-    /// [`packed_payloads`](Self::packed_payloads).
-    pub fn with_packed_payloads(mut self, packed: bool) -> Self {
-        self.packed_payloads = packed;
         self
     }
 
@@ -266,18 +247,8 @@ impl DhcConfig {
     /// the class's local ids (crashes outside `members` do not apply),
     /// and each class gets its own fault stream.
     pub fn sim_config_for_class(&self, color: u32, members: &[NodeId]) -> SimConfig {
-        let mut sim = SimConfig::default()
-            .with_max_rounds(self.max_rounds)
-            .with_bandwidth_words(self.bandwidth_words)
-            .with_engine_threads(self.engine_threads)
-            .with_commit_shards(self.commit_shards)
-            .with_record_round_traffic(self.record_round_traffic);
-        if let Some(adv) = &self.adversary {
-            sim = sim.with_adversary(adv.for_class(members, color));
-        }
-        if let Some(col) = &self.collector {
-            sim = sim.with_collector(col.clone());
-        }
+        let mut sim = self.sim_config();
+        sim.adversary = self.adversary.as_ref().map(|adv| adv.for_class(members, color));
         sim
     }
 
@@ -286,7 +257,10 @@ impl DhcConfig {
     /// # Errors
     ///
     /// Returns [`DhcError::InvalidConfig`](crate::DhcError::InvalidConfig)
-    /// for out-of-range values.
+    /// for out-of-range values, NaN included.
+    // The negated comparisons are deliberate: `!(x > 0.0)` rejects NaN,
+    // `x <= 0.0` would accept it.
+    #[allow(clippy::neg_cmp_op_on_partial_ord)]
     pub fn validate(&self) -> Result<(), crate::DhcError> {
         if !(self.delta > 0.0 && self.delta <= 1.0) {
             return Err(crate::DhcError::InvalidConfig { what: "delta must be in (0, 1]" });
@@ -294,7 +268,7 @@ impl DhcConfig {
         if self.bandwidth_words == 0 {
             return Err(crate::DhcError::InvalidConfig { what: "bandwidth_words must be >= 1" });
         }
-        if self.sample_factor <= 0.0 {
+        if !(self.sample_factor > 0.0) {
             return Err(crate::DhcError::InvalidConfig { what: "sample_factor must be positive" });
         }
         Ok(())
@@ -329,6 +303,8 @@ mod tests {
         assert!(DhcConfig::new(0).with_delta(1.5).validate().is_err());
         let mut cfg = DhcConfig::new(0);
         cfg.sample_factor = -1.0;
+        assert!(cfg.validate().is_err());
+        cfg.sample_factor = f64::NAN;
         assert!(cfg.validate().is_err());
     }
 

@@ -86,3 +86,21 @@ pub use runner::{
     run_collect_all, run_dhc1, run_dhc2, run_dhc2_with_colors, run_dra, run_partition_cycles,
     run_upcast, PhaseBreakdown, RunOutcome, Subcycle,
 };
+
+#[cfg(test)]
+mod tests {
+    use std::mem::size_of;
+
+    /// Every protocol message is a tag plus a constant number of `u32`
+    /// words, and a mailbox entry should cost no more than that: 4 bytes
+    /// for the tag and 4 per word of the protocol's widest message (6 for
+    /// DRA and the DHC1 stitch, 3 for Upcast, 9 for a DHC2 bridge
+    /// decision). A `usize` field would push DRA, DHC1 and DHC2 past it.
+    #[test]
+    fn message_enums_stay_within_their_word_budget() {
+        assert!(size_of::<crate::dra::DraMsg>() <= 28, "{}", size_of::<crate::dra::DraMsg>());
+        assert!(size_of::<crate::dhc1::HypMsg>() <= 28, "{}", size_of::<crate::dhc1::HypMsg>());
+        assert!(size_of::<crate::upcast::UpMsg>() <= 16, "{}", size_of::<crate::upcast::UpMsg>());
+        assert!(size_of::<crate::dhc2::MergeMsg>() <= 40, "{}", size_of::<crate::dhc2::MergeMsg>());
+    }
+}
