@@ -54,10 +54,13 @@ pub struct Config {
     /// one exists and the round is busy enough to amortize the merge —
     /// while any other value **forces** that many shards through the
     /// sharded code path even on a single-threaded engine (the shards
-    /// then run inline). Results are identical for every value; the
-    /// knob exists for benchmarking and for the shard-merge equivalence
-    /// suites, which pin `commit_shards ∈ {1,2,3,7}` against the
-    /// sequential fold bit-for-bit.
+    /// then run inline). Forced or auto, only **clean** rounds shard: a
+    /// trace, a k-machine layer or an active adversary sends every
+    /// round through the sequential fold. Results are identical for
+    /// every value; the knob exists for benchmarking and for the
+    /// shard-merge equivalence suites, which pin
+    /// `commit_shards ∈ {1,2,3,7}` against the sequential fold
+    /// bit-for-bit.
     pub commit_shards: usize,
     /// Optional seeded fault model (message drop/duplicate/delay, node
     /// crash/restart). `None` (the default) — or a null adversary —
@@ -65,12 +68,13 @@ pub struct Config {
     /// [`Adversary`].
     pub adversary: Option<Adversary>,
     /// Optional telemetry collector (see [`dhc_obs`]). Like the
-    /// k-machine layer, a collector is **pure observation**: it is
-    /// driven once per committed round from the engine's sequential
-    /// bookkeeping, after the commit fold, so attaching one cannot
-    /// change outcomes, [`Metrics`](crate::Metrics), traces, or realized
-    /// fault schedules at any thread/shard count. `None` (the default)
-    /// skips every telemetry code path.
+    /// k-machine layer, a collector is **pure observation**: it is fed
+    /// once per committed round, after the commit fold, from a read-only
+    /// walk over the round's effects — neither fold touches it, so a
+    /// sharded round stays sharded with a collector attached, and
+    /// attaching one cannot change outcomes, [`Metrics`](crate::Metrics),
+    /// traces, or realized fault schedules at any thread/shard count.
+    /// `None` (the default) skips every telemetry code path.
     pub collector: Option<CollectorHandle>,
 }
 

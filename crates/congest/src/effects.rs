@@ -37,9 +37,12 @@ pub(crate) struct Effects<M: Payload> {
     /// Next op sequence number (shared by sends and broadcasts).
     pub(crate) seq: u32,
     /// `sends[i].2.words().max(1)`, precomputed on the worker thread so
-    /// the fold never calls into payload code.
+    /// the fold never calls into payload code. The fold drains only the
+    /// payloads, so after it this list still holds one entry per unicast
+    /// op for the telemetry emission to count.
     pub(crate) send_words: Vec<usize>,
-    /// `bcasts[i].2.words().max(1)`, likewise.
+    /// `bcasts[i].2.words().max(1)`, likewise (also left in place by the
+    /// fold).
     pub(crate) bcast_words: Vec<usize>,
     /// Sum of `bcast_words`: the broadcast word load every non-excluded
     /// neighbor receives this round.

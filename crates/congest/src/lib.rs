@@ -24,9 +24,11 @@
 //!   [`Config::engine_threads`] sets the worker count, served by a
 //!   persistent worker pool) followed by a **deterministic commit
 //!   fold** that applies the effects in ascending node-id order — on
-//!   busy rounds the fold itself runs sharded across the pool, with a
-//!   merge that reproduces the sequential fold bit for bit, so results
-//!   are identical at every thread count;
+//!   busy clean rounds (no trace, k-machine layer or adversary) the
+//!   fold itself runs sharded across the pool, with a merge that
+//!   reproduces the sequential fold bit for bit, so results are
+//!   identical at every thread count; an attached collector is fed
+//!   after the fold, never from inside it;
 //! * [`Metrics`] — rounds, messages, message-words, per-node send/receive/
 //!   compute counters, sampled per-node memory high-water marks, and
 //!   per-round congestion, feeding the paper's "fully distributed"

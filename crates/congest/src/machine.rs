@@ -574,130 +574,6 @@ impl MachineLayer {
     pub(crate) fn into_log(self) -> MachineRoundLog {
         self.log
     }
-
-    /// The node-to-machine assignment (shared with the per-shard
-    /// accumulators of the parallel commit fold).
-    pub(crate) fn map(&self) -> &MachineMap {
-        &self.map
-    }
-
-    /// Folds one sender shard's accumulator into this round's scratch
-    /// and the volume totals, draining the shard back to its clean
-    /// state. Every count is a sum and [`end_round`](Self::end_round)
-    /// sorts the touched-link list, so absorbing the shards in **any**
-    /// order yields the exact per-link loads and totals of the
-    /// sequential fold.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the shard was built for a different machine count.
-    pub(crate) fn absorb_shard(&mut self, shard: &mut MachineShard) {
-        assert_eq!(shard.k, self.map.k, "machine shard built for a different k");
-        for &idx in &shard.touched {
-            let idx = idx as usize;
-            if self.round_words[idx] == 0 {
-                self.touched.push(idx as u32);
-            }
-            self.round_words[idx] += shard.round_words[idx];
-            shard.round_words[idx] = 0;
-        }
-        shard.touched.clear();
-        for m in 0..shard.k {
-            self.log.machine_sent_words[m] += shard.sent_words[m];
-            self.log.machine_recv_words[m] += shard.recv_words[m];
-            shard.sent_words[m] = 0;
-            shard.recv_words[m] = 0;
-        }
-        self.log.intra_words += shard.intra_words;
-        self.log.cross_messages += shard.cross_messages;
-        shard.intra_words = 0;
-        shard.cross_messages = 0;
-    }
-}
-
-/// One sender shard's private slice of the machine-layer accounting:
-/// the same per-link word accumulation and broadcast dedup as the live
-/// [`MachineLayer`], but writing only shard-local counters so shards
-/// run concurrently; [`MachineLayer::absorb_shard`] merges them. All
-/// merged quantities are sums (and the layer's round record sorts its
-/// link list), so the merge is placement- and order-independent.
-#[derive(Debug)]
-pub(crate) struct MachineShard {
-    k: usize,
-    round_words: Vec<u64>,
-    touched: Vec<u32>,
-    seen_epoch: Vec<u64>,
-    epoch: u64,
-    bcast_from: usize,
-    bcast_words: u64,
-    sent_words: Vec<u64>,
-    recv_words: Vec<u64>,
-    intra_words: u64,
-    cross_messages: u64,
-}
-
-impl MachineShard {
-    pub(crate) fn new(k: usize) -> Self {
-        MachineShard {
-            k,
-            round_words: vec![0; k * k],
-            touched: Vec::new(),
-            seen_epoch: vec![0; k],
-            epoch: 0,
-            bcast_from: 0,
-            bcast_words: 0,
-            sent_words: vec![0; k],
-            recv_words: vec![0; k],
-            intra_words: 0,
-            cross_messages: 0,
-        }
-    }
-
-    pub(crate) fn machine_count(&self) -> usize {
-        self.k
-    }
-
-    fn add_link(&mut self, from_m: usize, to_m: usize, words: u64) {
-        self.sent_words[from_m] += words;
-        self.recv_words[to_m] += words;
-        self.cross_messages += 1;
-        let idx = from_m * self.k + to_m;
-        if self.round_words[idx] == 0 {
-            self.touched.push(idx as u32);
-        }
-        self.round_words[idx] += words;
-    }
-
-    /// Shard-local twin of [`MachineLayer::unicast`].
-    pub(crate) fn unicast(&mut self, map: &MachineMap, from: NodeId, to: NodeId, words: usize) {
-        let (mf, mt) = (map.machine_of(from), map.machine_of(to));
-        if mf == mt {
-            self.intra_words += words as u64;
-        } else {
-            self.add_link(mf, mt, words as u64);
-        }
-    }
-
-    /// Shard-local twin of [`MachineLayer::begin_broadcast`].
-    pub(crate) fn begin_broadcast(&mut self, map: &MachineMap, from: NodeId, words: usize) {
-        self.epoch += 1;
-        self.bcast_from = map.machine_of(from);
-        self.bcast_words = words as u64;
-    }
-
-    /// Shard-local twin of [`MachineLayer::broadcast_dest`].
-    pub(crate) fn broadcast_dest(&mut self, map: &MachineMap, to: NodeId) {
-        let m = map.machine_of(to);
-        if self.seen_epoch[m] == self.epoch {
-            return;
-        }
-        self.seen_epoch[m] = self.epoch;
-        if m == self.bcast_from {
-            self.intra_words += self.bcast_words;
-        } else {
-            self.add_link(self.bcast_from, m, self.bcast_words);
-        }
-    }
 }
 
 #[cfg(test)]
@@ -839,36 +715,6 @@ mod tests {
         assert_eq!(ma.link_total(0, 1), 8);
         assert_eq!(ma.link_peak_round_words[1], 6);
         assert_eq!(ma.max_dilation, 3);
-    }
-
-    #[test]
-    fn shard_absorb_matches_sequential_layer() {
-        let map = MachineMap::new(vec![0, 1, 1, 2, 0], 3);
-        let mut seq = MachineLayer::new(map.clone());
-        seq.unicast(0, 2, 2);
-        seq.begin_broadcast(1, 5);
-        for to in [0, 2, 3] {
-            seq.broadcast_dest(to);
-        }
-        seq.unicast(3, 4, 1);
-        seq.end_round(1);
-        // Same traffic split across two sender shards, absorbed before
-        // the round closes.
-        let mut par = MachineLayer::new(map.clone());
-        let mut a = MachineShard::new(3);
-        a.unicast(&map, 0, 2, 2);
-        a.begin_broadcast(&map, 1, 5);
-        for to in [0, 2, 3] {
-            a.broadcast_dest(&map, to);
-        }
-        let mut b = MachineShard::new(3);
-        b.unicast(&map, 3, 4, 1);
-        par.absorb_shard(&mut a);
-        par.absorb_shard(&mut b);
-        par.end_round(1);
-        assert_eq!(seq.into_log(), par.into_log());
-        // Absorb drained the shards: a second round reuses them clean.
-        assert!(a.touched.is_empty() && a.cross_messages == 0 && a.intra_words == 0);
     }
 
     #[test]

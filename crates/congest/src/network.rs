@@ -20,22 +20,28 @@
 //!
 //! Both phases share one persistent [`dhc_pool::WorkerPool`], built at
 //! network construction and parked between dispatches, so a round costs
-//! a lock-and-notify rather than thread spawns. On busy rounds the
-//! commit fold itself runs **sharded** (see [`crate::parcommit`]): the
-//! fold is validated by a read-only parallel plan pass, committed into
-//! per-shard buffers, and merged in ascending shard order — which *is*
-//! ascending node order — so its every observable output (metrics,
-//! trace order, typed failures, machine-layer link loads, realized
-//! fault schedules) equals the sequential fold's bit for bit. Any
-//! planned fault or bandwidth violation falls back to the sequential
-//! fold over untouched state, preserving the exact partial-commit error
-//! semantics.
+//! a lock-and-notify rather than thread spawns. On busy **clean** rounds
+//! — no trace, no k-machine layer, no active adversary — the commit fold
+//! itself runs **sharded** (see [`crate::parcommit`]): the fold is
+//! validated by a read-only parallel plan pass, committed into per-shard
+//! buffers, and merged in ascending shard order — which *is* ascending
+//! node order — so its metrics, deliveries and typed failures equal the
+//! sequential fold's bit for bit. Any planned fault or bandwidth
+//! violation falls back to the sequential fold over untouched state,
+//! preserving the exact partial-commit error semantics. Traced,
+//! k-machine and adversarial rounds always take the sequential fold,
+//! forced [`Config::commit_shards`] or not.
+//!
+//! An attached collector never rides either fold: after the round is
+//! committed, the engine walks the executed nodes' effects once more and
+//! reads the op counts, compute charges, halts and wake-ups the fold
+//! leaves in place.
 
-use crate::adversary::{AdversaryState, Fate};
+use crate::adversary::{Adversary, AdversaryState, Fate};
 use crate::effects::Effects;
 use crate::machine::{MachineLayer, MachineMap};
 use crate::mailbox::{Inbox, Mailboxes};
-use crate::parcommit::{self, CommitScratch, DestRun, SenderRun, ShardCtx};
+use crate::parcommit::{self, CommitScratch, DestRun, SenderRun};
 use crate::scratch::{EngineScratch, Parts};
 use crate::trace::{Trace, TraceEvent};
 use crate::{Config, Context, Metrics, NodeId, Protocol, Report, SimError};
@@ -46,7 +52,8 @@ use std::collections::BinaryHeap;
 
 /// Minimum active nodes in a round before the auto-sharded commit fold
 /// pays for its plan pass and merge; below this the sequential fold is
-/// faster. Forcing [`Config::commit_shards`] bypasses the threshold.
+/// faster. Forcing [`Config::commit_shards`] bypasses the threshold on
+/// clean rounds.
 const PAR_COMMIT_MIN_ACTIVE: usize = 256;
 
 /// A synchronous CONGEST network: a topology, one [`Protocol`] instance per
@@ -117,43 +124,18 @@ pub struct Network<'g, P: Protocol, T: Topology = Graph> {
     commit: CommitScratch<P::Msg>,
     /// Optional telemetry collector (see [`dhc_obs`]), cloned out of the
     /// config once so emission needs no config borrow. Driven only from
-    /// the sequential post-fold bookkeeping, after the round is fully
-    /// committed — pure observation, like the machine layer.
+    /// the post-fold bookkeeping, after the round is fully committed —
+    /// pure observation, like the machine layer.
     obs: Option<dhc_obs::CollectorHandle>,
     /// Reusable telemetry scratch: this round's per-executed-node
-    /// compute charges. The sequential fold fills it as it commits
-    /// (reading fields it touches anyway); only when the sharded fold
-    /// is about to drain the effects in parallel does a dedicated
-    /// pre-walk gather them first. Only filled when a collector is
-    /// attached.
+    /// compute charges, read off the effects after the fold. Only
+    /// filled when a collector is attached.
     obs_compute: Vec<u64>,
-    /// This round's per-op telemetry tallies, accumulated alongside
-    /// [`Network::obs_compute`] (see [`ObsPre`]).
-    obs_scratch: ObsPre,
-    /// Whether the pre-walk already filled the scratch this round, so
-    /// the sequential fold (running after a sharded back-off) doesn't
-    /// double-count.
-    obs_prefilled: bool,
     /// This round's realized delivery fates `[dropped, duplicated,
     /// delayed]`, tallied by the adversarial routing.
     obs_fates: [u64; 3],
     /// This round's crash-schedule events `[crashes, restarts]`.
     obs_crash: [u64; 2],
-}
-
-/// Per-round telemetry tallies: per-op counts read off the effect
-/// buffers before the fold drains them (inline in the sequential fold,
-/// via a pre-walk when the sharded fold will drain them in parallel),
-/// plus the pre-fold message/word totals so the emitted
-/// [`dhc_obs::RoundObs`] carries this round's deltas.
-#[derive(Clone, Copy, Default)]
-struct ObsPre {
-    unicast_ops: u64,
-    broadcast_ops: u64,
-    pre_messages: u64,
-    pre_words: u64,
-    wakes_scheduled: u64,
-    halts: u64,
 }
 
 /// One active node's unit of work for the compute phase.
@@ -288,8 +270,6 @@ impl<'g, P: Protocol, T: Topology> Network<'g, P, T> {
             commit: parts.commit,
             obs,
             obs_compute: Vec::new(),
-            obs_scratch: ObsPre::default(),
-            obs_prefilled: false,
             obs_fates: [0; 3],
             obs_crash: [0; 2],
         };
@@ -337,7 +317,7 @@ impl<'g, P: Protocol, T: Topology> Network<'g, P, T> {
         let sched = self.scratch_woken.capacity() * size_of::<NodeId>()
             + self.scratch_active.capacity() * size_of::<(NodeId, usize)>()
             + self.scratch_work.capacity() * size_of::<NodeId>()
-            + self.wakes.len() * size_of::<Reverse<(usize, NodeId)>>()
+            + self.wakes.capacity() * size_of::<Reverse<(usize, NodeId)>>()
             + self.scratch_fates.capacity() * size_of::<Fate>()
             + self.scratch_charged.capacity() * size_of::<(NodeId, usize)>()
             + self.scratch_nbrs.capacity() * size_of::<&[NodeId]>()
@@ -602,7 +582,7 @@ impl<'g, P: Protocol, T: Topology> Network<'g, P, T> {
 
     /// Runs one phase over the listed nodes (strictly ascending by node
     /// id): the parallel compute phase followed by the commit fold —
-    /// sharded across the worker pool on busy rounds, sequential
+    /// sharded across the worker pool on busy clean rounds, sequential
     /// otherwise, with bit-identical results either way.
     ///
     /// `active` and `delivered` describe this round's delivery (the full
@@ -654,32 +634,12 @@ impl<'g, P: Protocol, T: Topology> Network<'g, P, T> {
             }
         }
 
-        // --- Telemetry bookkeeping: the fold drains the effect buffers,
-        // so per-op counts and compute charges must be read off before
-        // they drain. The sequential fold accumulates them inline (it
-        // touches every field anyway); only when the sharded fold is
-        // about to drain the effects in parallel does a dedicated
-        // pre-walk run. Reads only; skipped entirely without a
-        // collector. ---
-        let obs_attached = self.obs.is_some();
-        if obs_attached {
-            self.obs_compute.clear();
-            self.obs_fates = [0; 3];
-            self.obs_prefilled = false;
-            self.obs_scratch = ObsPre {
-                pre_messages: self.metrics.messages,
-                pre_words: self.metrics.words,
-                ..ObsPre::default()
-            };
-        }
-
-        // --- Commit fold: ascending node id. ---
+        // --- Commit fold: ascending node id. The pre-fold totals let
+        // the telemetry emission report this round's deltas. ---
+        let (pre_messages, pre_words) = (self.metrics.messages, self.metrics.words);
+        self.obs_fates = [0; 3];
         let shards = self.commit_shard_count(work.len());
-        if obs_attached && shards > 0 {
-            self.obs_prewalk(work.len());
-        }
-        let committed_sharded = shards > 0 && self.try_commit_sharded(work, shards);
-        if !committed_sharded {
+        if !(shards > 0 && self.try_commit_sharded(work, shards)) {
             self.commit_sequential(work)?;
         }
         // Close the machine layer's round: every executed phase (init is
@@ -690,29 +650,10 @@ impl<'g, P: Protocol, T: Topology> Network<'g, P, T> {
             ml.end_round(self.round);
         }
         self.metrics.rounds = self.round;
-        if obs_attached {
-            self.emit_round_obs(work.len(), active, delivered);
+        if self.obs.is_some() {
+            self.emit_round_obs(work.len(), active, delivered, pre_messages, pre_words);
         }
         Ok(())
-    }
-
-    /// Gathers the per-op telemetry tallies with a dedicated walk over
-    /// this round's effect buffers — needed only when the sharded fold
-    /// is about to drain them in parallel (the sequential fold
-    /// accumulates the same tallies inline as it commits).
-    fn obs_prewalk(&mut self, executed: usize) {
-        let o = &mut self.obs_scratch;
-        for fx in &self.effects[..executed] {
-            o.unicast_ops += fx.sends.len() as u64;
-            o.broadcast_ops += fx.bcasts.len() as u64;
-            self.obs_compute.push(fx.compute);
-            if fx.halted {
-                o.halts += 1;
-            } else if fx.wake.is_some() {
-                o.wakes_scheduled += 1;
-            }
-        }
-        self.obs_prefilled = true;
     }
 
     /// Emits this committed round's [`dhc_obs::RoundObs`] to the
@@ -720,21 +661,44 @@ impl<'g, P: Protocol, T: Topology> Network<'g, P, T> {
     /// machine layer closed its round), on the caller's thread, reading
     /// engine state without mutating any of it — the collector observes
     /// the exact committed round and provably cannot perturb it.
-    fn emit_round_obs(&mut self, executed: usize, active: &[(NodeId, usize)], delivered: u64) {
+    ///
+    /// The per-op counts, compute charges, halts and wake-ups come from
+    /// one walk over the executed nodes' effects: the fold drains only
+    /// the payloads, leaving the word lists (one entry per op) and the
+    /// scalar fields in place until the next compute phase resets them.
+    fn emit_round_obs(
+        &mut self,
+        executed: usize,
+        active: &[(NodeId, usize)],
+        delivered: u64,
+        pre_messages: u64,
+        pre_words: u64,
+    ) {
         let Some(obs) = self.obs.clone() else { return };
-        let pre = self.obs_scratch;
+        let (mut unicast_ops, mut broadcast_ops, mut wakes_scheduled, mut halts) = (0, 0, 0, 0);
+        self.obs_compute.clear();
+        for fx in &self.effects[..executed] {
+            unicast_ops += fx.send_words.len() as u64;
+            broadcast_ops += fx.bcast_words.len() as u64;
+            self.obs_compute.push(fx.compute);
+            if fx.halted {
+                halts += 1;
+            } else if fx.wake.is_some() {
+                wakes_scheduled += 1;
+            }
+        }
         let ev = dhc_obs::RoundObs {
             round: self.round,
             executed,
             delivered,
             inbox: active,
             compute: &self.obs_compute,
-            unicast_ops: pre.unicast_ops,
-            broadcast_ops: pre.broadcast_ops,
-            messages: self.metrics.messages - pre.pre_messages,
-            words: self.metrics.words - pre.pre_words,
-            wakes_scheduled: pre.wakes_scheduled,
-            halts: pre.halts,
+            unicast_ops,
+            broadcast_ops,
+            messages: self.metrics.messages - pre_messages,
+            words: self.metrics.words - pre_words,
+            wakes_scheduled,
+            halts,
             faults: dhc_obs::FaultObs {
                 dropped: self.obs_fates[0],
                 duplicated: self.obs_fates[1],
@@ -749,29 +713,14 @@ impl<'g, P: Protocol, T: Topology> Network<'g, P, T> {
 
     /// The reference commit fold: one pass over the effects in ascending
     /// node-id order, applying everything directly to shared state. The
-    /// sharded fold is pinned bit-for-bit against this path, and every
-    /// faulting round runs here so partial-commit error semantics come
-    /// from exactly one place.
+    /// sharded fold is pinned bit-for-bit against this path; every
+    /// traced, k-machine or adversarial round runs here, and so does
+    /// every faulting round, so partial-commit error semantics come from
+    /// exactly one place.
     fn commit_sequential(&mut self, work: &[NodeId]) -> Result<(), SimError> {
         let graph = self.graph;
         let adversarial = self.adversary.is_some();
-        // Telemetry tallies ride the fold's own walk (the effect fields
-        // are in cache right here), unless a sharded attempt's pre-walk
-        // already gathered them before backing off to this path.
-        let fuse_obs = self.obs.is_some() && !self.obs_prefilled;
         for (i, &v) in work.iter().enumerate() {
-            if fuse_obs {
-                let fx = &self.effects[i];
-                let o = &mut self.obs_scratch;
-                o.unicast_ops += fx.sends.len() as u64;
-                o.broadcast_ops += fx.bcasts.len() as u64;
-                if fx.halted {
-                    o.halts += 1;
-                } else if fx.wake.is_some() {
-                    o.wakes_scheduled += 1;
-                }
-                self.obs_compute.push(fx.compute);
-            }
             if adversarial {
                 // The fault-influenced commit lives in its own fold so the
                 // clean path below stays exactly the pre-adversary engine.
@@ -816,8 +765,8 @@ impl<'g, P: Protocol, T: Topology> Network<'g, P, T> {
             // Route sends and broadcasts into the next round's mailboxes,
             // merged back into call order by op sequence so trace events
             // and per-receiver delivery order match the unicast expansion.
-            let mut uni = fx.sends.drain(..).zip(fx.send_words.drain(..)).peekable();
-            let mut bc = fx.bcasts.drain(..).zip(fx.bcast_words.drain(..)).peekable();
+            let mut uni = fx.sends.drain(..).zip(fx.send_words.iter().copied()).peekable();
+            let mut bc = fx.bcasts.drain(..).zip(fx.bcast_words.iter().copied()).peekable();
             loop {
                 let take_uni = match (uni.peek(), bc.peek()) {
                     (Some(&((useq, _, _), _)), Some(&((bseq, _, _), _))) => useq < bseq,
@@ -902,11 +851,17 @@ impl<'g, P: Protocol, T: Topology> Network<'g, P, T> {
     }
 
     /// Shard count for this round's commit fold: `0` means "run the
-    /// sequential fold". A forced [`Config::commit_shards`] always
-    /// shards (clamped to the active count); auto mode shards only when
-    /// a pool exists and the round is busy enough to amortize the merge.
+    /// sequential fold". Only clean rounds shard: a trace, a k-machine
+    /// layer or an active adversary always means `0`. Otherwise a forced
+    /// [`Config::commit_shards`] always shards (clamped to the active
+    /// count); auto mode shards only when a pool exists and the round is
+    /// busy enough to amortize the merge.
     fn commit_shard_count(&self, work_len: usize) -> usize {
-        if work_len == 0 {
+        if work_len == 0
+            || self.trace.is_enabled()
+            || self.machines.is_some()
+            || self.adversary.is_some()
+        {
             return 0;
         }
         if self.config.commit_shards != 0 {
@@ -918,7 +873,9 @@ impl<'g, P: Protocol, T: Topology> Network<'g, P, T> {
         }
     }
 
-    /// Attempts the sharded commit fold (see [`crate::parcommit`]).
+    /// Attempts the sharded commit fold (see [`crate::parcommit`]) on a
+    /// clean round — no trace, machine layer or adversary, which
+    /// [`commit_shard_count`](Self::commit_shard_count) guarantees.
     /// Returns `false` — with **no** engine state mutated — when the
     /// plan pass finds a protocol fault or bandwidth violation; the
     /// caller then runs [`commit_sequential`](Self::commit_sequential),
@@ -926,13 +883,11 @@ impl<'g, P: Protocol, T: Topology> Network<'g, P, T> {
     fn try_commit_sharded(&mut self, work: &[NodeId], shards: usize) -> bool {
         let n = self.nodes.len();
         let graph = self.graph;
-        let round = self.round;
         let budget = self.config.bandwidth_words;
         let dest_chunk = n.div_ceil(shards);
-        let machine_k = self.machines.as_ref().map(|ml| ml.map().machine_count());
         self.scratch_nbrs.clear();
         self.scratch_nbrs.extend(work.iter().map(|&v| graph.neighbors(v)));
-        self.commit.prepare(shards, machine_k);
+        self.commit.prepare(shards);
 
         let Network {
             halted,
@@ -941,14 +896,10 @@ impl<'g, P: Protocol, T: Topology> Network<'g, P, T> {
             effects,
             wakes,
             metrics,
-            trace,
-            machines,
-            adversary,
             pool,
             commit,
             scratch_nbrs,
             scratch_dirs,
-            obs_fates,
             ..
         } = &mut *self;
 
@@ -1011,84 +962,17 @@ impl<'g, P: Protocol, T: Topology> Network<'g, P, T> {
         }
 
         // --- Plan pass: read-only validation + max-metric accumulation. ---
-        let adversarial = adversary.is_some();
-        if adversarial {
-            let adv = &adversary.as_ref().expect("checked above").adv;
-            dispatch(pool.as_ref(), &mut runs, |r| r.plan_adversarial(adv, round, budget));
-        } else {
-            dispatch(pool.as_ref(), &mut runs, |r| r.plan(budget));
-        }
+        dispatch(pool.as_ref(), &mut runs, |r| r.plan(budget));
         if runs.iter().any(|r| r.out.first_bad.is_some()) {
             return false;
         }
 
-        if adversarial {
-            // Fates are drawn and budgets cleared; the routing itself
-            // (delay queue, per-copy staging) stays sequential. Merge the
-            // planned maxes first — max is order-independent, and no
-            // error can interrupt the round from here on.
-            drop(runs);
-            for out in commit.outs[..shards].iter() {
-                if out.max_edge > metrics.max_edge_words {
-                    metrics.max_edge_words = out.max_edge;
-                }
-                if out.max_sends > metrics.max_node_sends_per_round {
-                    metrics.max_node_sends_per_round = out.max_sends;
-                }
-            }
-            let mut idx = 0;
-            for s in 0..shards {
-                let take = chunk.min(work.len() - idx);
-                let fates = std::mem::take(&mut commit.outs[s].fates);
-                let mut cursor = 0;
-                for j in 0..take {
-                    let v = work[idx + j];
-                    let fx = &mut effects[idx + j];
-                    debug_assert!(fx.fault.is_none(), "planned shard cannot hold a fault");
-                    metrics.compute_per_node[(v) as usize] += fx.compute;
-                    if let Some(mem) = fx.memory {
-                        if mem > metrics.peak_memory_per_node[(v) as usize] {
-                            metrics.peak_memory_per_node[(v) as usize] = mem;
-                        }
-                    }
-                    cursor += route_node_adversarial(
-                        v,
-                        round,
-                        scratch_nbrs[idx + j],
-                        fx,
-                        &fates[cursor..],
-                        metrics,
-                        trace,
-                        machines,
-                        mail,
-                        wakes,
-                        halted,
-                        halted_count,
-                        obs_fates,
-                    );
-                }
-                debug_assert_eq!(cursor, fates.len(), "shard fate plan out of sync");
-                commit.outs[s].fates = fates;
-                idx += take;
-            }
-            return true;
-        }
-
         // --- Commit pass: shard-local buffers, disjoint metric windows. ---
-        {
-            let ctx = ShardCtx {
-                round,
-                trace_on: trace.is_enabled(),
-                dest_chunk,
-                machines: machines.as_ref().map(|ml| ml.map()),
-            };
-            dispatch(pool.as_ref(), &mut runs, |r| r.commit(&ctx));
-            drop(runs);
-        }
+        dispatch(pool.as_ref(), &mut runs, |r| r.commit(dest_chunk));
+        drop(runs);
 
         // --- Merge: ascending shard order is ascending node order. ---
         scratch_dirs.clear();
-        let trace_on = trace.is_enabled();
         for out in commit.outs[..shards].iter_mut() {
             metrics.words += out.words;
             metrics.messages += out.messages;
@@ -1101,16 +985,6 @@ impl<'g, P: Protocol, T: Topology> Network<'g, P, T> {
             *halted_count += out.halts;
             for &(target, v) in &out.wakes {
                 wakes.push(Reverse((target, v)));
-            }
-            if trace_on {
-                // Replayed through `push` so capacity accounting (and the
-                // dropped counter) behave exactly as in the sequential fold.
-                for ev in out.trace.drain(..) {
-                    trace.push(ev);
-                }
-            }
-            if let (Some(ms), Some(ml)) = (out.machine.as_mut(), machines.as_mut()) {
-                ml.absorb_shard(ms);
             }
             for (from, seq, skip, msg) in out.bcasts.drain(..) {
                 scratch_dirs.push((graph.neighbors(from), skip));
@@ -1140,7 +1014,7 @@ impl<'g, P: Protocol, T: Topology> Network<'g, P, T> {
 
     /// Commits one node's effects under an **active adversary**: the
     /// fault-influenced twin of the clean fold in
-    /// [`run_phase`](Self::run_phase).
+    /// [`commit_sequential`](Self::commit_sequential).
     ///
     /// Two passes, both sequential. Pass 1 draws the [`Fate`] of every
     /// delivery — broadcasts expanded over their addressed neighbors in
@@ -1152,7 +1026,10 @@ impl<'g, P: Protocol, T: Topology> Network<'g, P, T> {
     /// silent queue). Pass 2 routes: delivered copies are staged as
     /// usual, dropped ones are charged to the sender but never staged,
     /// duplicated ones are staged twice, and delayed ones are parked in
-    /// the mailbox delay queue until their due round.
+    /// the mailbox delay queue until their due round. The realized
+    /// non-deliver fates `[dropped, duplicated, delayed]` are tallied
+    /// for the round's telemetry event (pure counting — it influences
+    /// nothing).
     ///
     /// Broadcasts are committed as **per-destination direct messages**
     /// (each copy can meet a different fate), so the broadcast arena is
@@ -1191,11 +1068,9 @@ impl<'g, P: Protocol, T: Topology> Network<'g, P, T> {
         }
 
         // --- Pass 1: draw fates (merged op order, broadcasts expanded
-        // over ascending addressed neighbors) and charge the edges —
-        // the same pure plan the sharded fold runs, so the realized
-        // fault schedule is identical on both paths. ---
+        // over ascending addressed neighbors) and charge the edges. ---
         scratch_fates.clear();
-        if let Err((to, words)) = parcommit::plan_adversarial_node(
+        if let Err((to, words)) = plan_adversarial_node(
             &st.adv,
             round,
             budget,
@@ -1216,23 +1091,92 @@ impl<'g, P: Protocol, T: Topology> Network<'g, P, T> {
             });
         }
 
-        // --- Pass 2: route each delivery by its fate. ---
-        let used = route_node_adversarial(
-            v,
-            round,
-            nbrs,
-            fx,
-            scratch_fates,
-            metrics,
-            trace,
-            machines,
-            mail,
-            wakes,
-            halted,
-            halted_count,
-            obs_fates,
-        );
-        debug_assert_eq!(used, scratch_fates.len(), "fate scratch out of sync");
+        // --- Pass 2: route each delivery by its fate: sender-side
+        // metrics and trace per delivery, then per-fate staging. ---
+        let trace_on = trace.is_enabled();
+        let mut fates = scratch_fates.iter().copied();
+        let mut uni = fx.sends.drain(..).zip(fx.send_words.iter().copied()).peekable();
+        let mut bc = fx.bcasts.drain(..).zip(fx.bcast_words.iter().copied()).peekable();
+        let mut commit_one = |to: NodeId, seq: u32, words: usize, msg: P::Msg| {
+            let fate = fates.next().expect("one planned fate per delivery");
+            match fate {
+                Fate::Deliver => {}
+                Fate::Drop => obs_fates[0] += 1,
+                Fate::Duplicate => obs_fates[1] += 1,
+                Fate::Delay(_) => obs_fates[2] += 1,
+            }
+            let copies: u64 = if fate == Fate::Duplicate { 2 } else { 1 };
+            metrics.words += words as u64 * copies;
+            metrics.messages += copies;
+            metrics.sent_per_node[(v) as usize] += copies;
+            if trace_on {
+                trace.push(TraceEvent::Sent { round, from: v, to, words });
+                match fate {
+                    Fate::Deliver => {}
+                    Fate::Drop => trace.push(TraceEvent::Dropped { round, from: v, to }),
+                    Fate::Duplicate => trace.push(TraceEvent::Duplicated { round, from: v, to }),
+                    Fate::Delay(d) => {
+                        trace.push(TraceEvent::Delayed {
+                            round,
+                            from: v,
+                            to,
+                            until: round + 1 + d,
+                        });
+                    }
+                }
+            }
+            if let Some(ml) = machines.as_mut() {
+                for _ in 0..copies {
+                    ml.unicast(v, to, words);
+                }
+            }
+            match fate {
+                Fate::Deliver => mail.stage(v, seq, to, msg),
+                // Charged to the sender, lost in transit.
+                Fate::Drop => {}
+                Fate::Duplicate => {
+                    mail.stage(v, seq, to, msg.clone());
+                    mail.stage(v, seq, to, msg);
+                }
+                Fate::Delay(d) => mail.stage_delayed(round + 1 + d, v, seq, to, msg),
+            }
+        };
+        loop {
+            let take_uni = match (uni.peek(), bc.peek()) {
+                (Some(&((useq, _, _), _)), Some(&((bseq, _, _), _))) => useq < bseq,
+                (Some(_), None) => true,
+                (None, Some(_)) => false,
+                (None, None) => break,
+            };
+            if take_uni {
+                let ((seq, to, msg), words) = uni.next().expect("peeked");
+                commit_one(to, seq, words, msg);
+            } else {
+                let ((seq, skip, msg), words) = bc.next().expect("peeked");
+                for &to in nbrs {
+                    if Some(to) != skip {
+                        commit_one(to, seq, words, msg.clone());
+                    }
+                }
+            }
+        }
+        debug_assert!(fates.next().is_none(), "fate scratch out of sync");
+
+        if let Some(target) = fx.wake {
+            if !fx.halted {
+                wakes.push(Reverse((target, v)));
+                if trace_on {
+                    trace.push(TraceEvent::WakeScheduled { round, node: v, target });
+                }
+            }
+        }
+        if fx.halted && !halted[(v) as usize] {
+            halted[(v) as usize] = true;
+            *halted_count += 1;
+            if trace_on {
+                trace.push(TraceEvent::Halted { round, node: v });
+            }
+        }
         Ok(())
     }
 
@@ -1322,115 +1266,85 @@ fn dispatch<I: Send, F: Fn(&mut I) + Sync>(pool: Option<&WorkerPool>, items: &mu
     }
 }
 
-/// Routes one node's deliveries by their pre-drawn fates (see
-/// [`parcommit::plan_adversarial_node`]): sender-side metrics and trace
-/// per delivery, then per-fate staging — delivered copies as usual,
-/// dropped ones charged but never staged, duplicated ones staged twice,
-/// delayed ones parked in the mailbox delay queue until their due
-/// round. Finishes the node's wake/halt bookkeeping and returns how
-/// many fates it consumed. `fate_tally` accumulates the realized
-/// non-deliver fates `[dropped, duplicated, delayed]` for the round's
-/// telemetry event (pure counting — it influences nothing).
+/// Adversarial pass 1 for one node: draws the [`Fate`] of every
+/// delivery (merged op order, broadcasts expanded over ascending
+/// addressed neighbors) into `fates`, and checks the per-edge budgets
+/// with duplicates charged twice. Updates `max_sends` before and
+/// `max_edge` during the charge aggregation, so a violation leaves the
+/// same partial maxima the clean fold's walk would. Pure with respect
+/// to the engine: reads effects, writes only the caller's accumulators.
 #[allow(clippy::too_many_arguments)]
-fn route_node_adversarial<M: crate::Payload>(
-    v: NodeId,
+fn plan_adversarial_node<M: crate::Payload>(
+    adv: &Adversary,
     round: usize,
+    budget: usize,
+    v: NodeId,
+    fx: &Effects<M>,
     nbrs: &[NodeId],
-    fx: &mut Effects<M>,
-    fates: &[Fate],
-    metrics: &mut Metrics,
-    trace: &mut Trace,
-    machines: &mut Option<MachineLayer>,
-    mail: &mut Mailboxes<M>,
-    wakes: &mut BinaryHeap<Reverse<(usize, NodeId)>>,
-    halted: &mut [bool],
-    halted_count: &mut usize,
-    fate_tally: &mut [u64; 3],
-) -> usize {
-    let trace_on = trace.is_enabled();
-    let mut fi = 0;
-    let mut uni = fx.sends.drain(..).zip(fx.send_words.drain(..)).peekable();
-    let mut bc = fx.bcasts.drain(..).zip(fx.bcast_words.drain(..)).peekable();
-    // One delivery: sender-side metrics and trace, then fate routing.
-    let mut commit_one = |to: NodeId, seq: u32, words: usize, msg: M| {
-        let fate = fates[fi];
-        fi += 1;
-        match fate {
-            Fate::Deliver => {}
-            Fate::Drop => fate_tally[0] += 1,
-            Fate::Duplicate => fate_tally[1] += 1,
-            Fate::Delay(_) => fate_tally[2] += 1,
-        }
-        let copies: u64 = if fate == Fate::Duplicate { 2 } else { 1 };
-        metrics.words += words as u64 * copies;
-        metrics.messages += copies;
-        metrics.sent_per_node[(v) as usize] += copies;
-        if trace_on {
-            trace.push(TraceEvent::Sent { round, from: v, to, words });
-            match fate {
-                Fate::Deliver => {}
-                Fate::Drop => trace.push(TraceEvent::Dropped { round, from: v, to }),
-                Fate::Duplicate => trace.push(TraceEvent::Duplicated { round, from: v, to }),
-                Fate::Delay(d) => {
-                    trace.push(TraceEvent::Delayed { round, from: v, to, until: round + 1 + d });
-                }
-            }
-        }
-        if let Some(ml) = machines.as_mut() {
-            for _ in 0..copies {
-                ml.unicast(v, to, words);
-            }
-        }
-        match fate {
-            Fate::Deliver => mail.stage(v, seq, to, msg),
-            // Charged to the sender, lost in transit.
-            Fate::Drop => {}
-            Fate::Duplicate => {
-                mail.stage(v, seq, to, msg.clone());
-                mail.stage(v, seq, to, msg);
-            }
-            Fate::Delay(d) => mail.stage_delayed(round + 1 + d, v, seq, to, msg),
-        }
-    };
+    fates: &mut Vec<Fate>,
+    charged: &mut Vec<(NodeId, usize)>,
+    max_edge: &mut usize,
+    max_sends: &mut usize,
+) -> Result<(), (NodeId, usize)> {
+    charged.clear();
+    let mut attempts = 0usize;
+    let (mut ui, mut bi) = (0, 0);
     loop {
-        let take_uni = match (uni.peek(), bc.peek()) {
-            (Some(&((useq, _, _), _)), Some(&((bseq, _, _), _))) => useq < bseq,
+        let take_uni = match (fx.sends.get(ui), fx.bcasts.get(bi)) {
+            (Some(&(useq, _, _)), Some(&(bseq, _, _))) => useq < bseq,
             (Some(_), None) => true,
             (None, Some(_)) => false,
             (None, None) => break,
         };
         if take_uni {
-            let ((seq, to, msg), words) = uni.next().expect("peeked");
-            commit_one(to, seq, words, msg);
+            let (seq, to, _) = fx.sends[ui];
+            let words = fx.send_words[ui];
+            ui += 1;
+            let fate = adv.fate(round, v, seq, to);
+            let w = if fate == Fate::Duplicate { words * 2 } else { words };
+            fates.push(fate);
+            charged.push((to, w));
+            attempts += usize::from(fate == Fate::Duplicate) + 1;
         } else {
-            let ((seq, skip, msg), words) = bc.next().expect("peeked");
+            let (seq, skip, _) = fx.bcasts[bi];
+            let words = fx.bcast_words[bi];
+            bi += 1;
             for &to in nbrs {
                 if Some(to) == skip {
                     continue;
                 }
-                commit_one(to, seq, words, msg.clone());
+                let fate = adv.fate(round, v, seq, to);
+                let w = if fate == Fate::Duplicate { words * 2 } else { words };
+                fates.push(fate);
+                charged.push((to, w));
+                attempts += usize::from(fate == Fate::Duplicate) + 1;
             }
         }
     }
-    drop(uni);
-    drop(bc);
-
-    if let Some(target) = fx.wake {
-        if !fx.halted {
-            wakes.push(Reverse((target, v)));
-            if trace_on {
-                trace.push(TraceEvent::WakeScheduled { round, node: v, target });
-            }
-        }
+    if attempts > *max_sends {
+        *max_sends = attempts;
     }
-    if fx.halted && !halted[(v) as usize] {
-        halted[(v) as usize] = true;
-        *halted_count += 1;
-        if trace_on {
-            trace.push(TraceEvent::Halted { round, node: v });
+    // Stable sort, then aggregate per destination ascending: same
+    // first-violation destination as the clean fold's walk.
+    charged.sort_by_key(|&(to, _)| to);
+    let mut a = 0;
+    while a < charged.len() {
+        let to = charged[a].0;
+        let mut words = 0usize;
+        let mut b = a;
+        while b < charged.len() && charged[b].0 == to {
+            words += charged[b].1;
+            b += 1;
         }
+        if words > budget {
+            return Err((to, words));
+        }
+        if words > *max_edge {
+            *max_edge = words;
+        }
+        a = b;
     }
-    fi
+    Ok(())
 }
 
 /// Which protocol callback [`Network::run_phase`] should run.
@@ -2014,6 +1928,54 @@ mod tests {
         let baseline = run(1);
         for threads in [2, 4, 0] {
             assert_eq!(baseline, run(threads), "diverged at engine_threads = {threads}");
+        }
+    }
+
+    #[test]
+    fn forced_shards_apply_only_to_clean_rounds() {
+        let g = dhc_graph::generator::grid(4, 4);
+        let forced = || Config::default().with_commit_shards(3);
+        let clean = Network::new(&g, forced(), flood_nodes(16)).unwrap();
+        assert!(clean.commit_shard_count(16) > 0);
+        // A collector is fed after the fold, so it keeps the round sharded.
+        let (observed, _) = observed_cfg(forced());
+        let observed = Network::new(&g, observed, flood_nodes(16)).unwrap();
+        assert!(observed.commit_shard_count(16) > 0);
+        let traced = Network::new(&g, forced().with_trace_capacity(100), flood_nodes(16)).unwrap();
+        assert_eq!(traced.commit_shard_count(16), 0, "traced round sharded");
+        let machines = MachineMap::new((0..16).map(|v| v % 4).collect(), 4);
+        let layered = Network::new_with_machines(&g, forced(), flood_nodes(16), machines).unwrap();
+        assert_eq!(layered.commit_shard_count(16), 0, "k-machine round sharded");
+        let adv = crate::Adversary::seeded(1).with_drop_ppm(1);
+        let faulty = Network::new(&g, forced().with_adversary(adv), flood_nodes(16)).unwrap();
+        assert_eq!(faulty.commit_shard_count(16), 0, "adversarial round sharded");
+    }
+
+    /// Node `v` sleeps for `v + 1` rounds, then halts when woken.
+    struct Staggered;
+    impl Protocol for Staggered {
+        type Msg = Token;
+        fn init(&mut self, ctx: &mut Context<'_, Token>) {
+            ctx.wake_in(ctx.node() as usize + 1);
+        }
+        fn round(&mut self, ctx: &mut Context<'_, Token>, _: Inbox<'_, Token>) {
+            ctx.halt();
+        }
+    }
+
+    #[test]
+    fn engine_memory_words_never_decreases() {
+        // The wake heap drains as the nodes halt; its allocation must
+        // still count, so a sample after the run is the peak.
+        let g = dhc_graph::Graph::from_edges(64, []).unwrap();
+        let mut net =
+            Network::new(&g, Config::default(), (0..64).map(|_| Staggered).collect()).unwrap();
+        let mut last = net.engine_memory_words();
+        while !net.is_finished() {
+            net.step().unwrap();
+            let now = net.engine_memory_words();
+            assert!(now >= last, "fell from {last} to {now} words at round {}", net.rounds());
+            last = now;
         }
     }
 

@@ -1,9 +1,11 @@
 //! Per-shard sub-folds of the **parallel commit fold**.
 //!
 //! The engine's commit fold is semantically a strict left fold over the
-//! round's effects in ascending node-id order. This module splits it
-//! into data-parallel passes whose deterministic ascending-shard merge
-//! reproduces the sequential fold bit-for-bit:
+//! round's effects in ascending node-id order. On **clean rounds** — no
+//! trace, no k-machine layer, no active adversary; every other round
+//! takes the sequential fold — this module splits it into data-parallel
+//! passes whose deterministic ascending-shard merge reproduces the
+//! sequential fold bit-for-bit:
 //!
 //! 1. **Plan** (parallel, read-only): each sender shard validates its
 //!    nodes — protocol faults and per-edge bandwidth — and accumulates
@@ -13,39 +15,20 @@
 //!    committed, the faulty node's compute/memory charged, the typed
 //!    error returned at the first bad node in ascending order).
 //! 2. **Commit** (parallel, clean plans only): each sender shard drains
-//!    its effects into shard-local buffers — count metrics, trace
-//!    events, broadcast records, machine-layer link loads, wake-ups,
-//!    and per-destination-shard unicast buckets — plus disjoint slices
-//!    of the per-node metric arrays. The merge adds counts, maxes
-//!    maxes, and replays the buffers in ascending shard order, which
-//!    *is* ascending node order.
+//!    its effects into shard-local buffers — count metrics, broadcast
+//!    records, wake-ups, and per-destination-shard unicast buckets —
+//!    plus disjoint slices of the per-node metric arrays. The merge adds
+//!    counts, maxes maxes, and replays the buffers in ascending shard
+//!    order, which *is* ascending node order.
 //! 3. **Destination pass** (parallel): each destination shard drains
 //!    its bucket column in ascending sender-shard order (= ascending
 //!    sender id) into its slice of the back mailboxes and bumps the
 //!    broadcast counters of its resident neighbors, so every inbox is
 //!    byte-identical to the sequential staging.
-//!
-//! Under an **active adversary** only the plan pass runs sharded: fate
-//! draws are pure functions of `(fault_seed, round, sender, op,
-//! receiver)` — placement-independent by construction — so per-shard
-//! draws equal the sequential draws verbatim, while the routing (delay
-//! queue, per-copy staging) stays sequential.
 
-use crate::adversary::{Adversary, Fate};
 use crate::effects::Effects;
-use crate::machine::{MachineMap, MachineShard};
 use crate::mailbox::DestPart;
-use crate::trace::TraceEvent;
 use crate::{NodeId, Payload};
-
-/// Round-constant inputs shared by every sender shard's commit pass.
-pub(crate) struct ShardCtx<'a> {
-    pub(crate) round: usize,
-    pub(crate) trace_on: bool,
-    /// Destination-shard width in node ids (`⌈n / shards⌉`).
-    pub(crate) dest_chunk: usize,
-    pub(crate) machines: Option<&'a MachineMap>,
-}
 
 /// One sender shard's reusable output buffers. Everything here is
 /// either merged by addition/max or replayed in ascending shard order,
@@ -61,16 +44,9 @@ pub(crate) struct ShardOut<M: Payload> {
     pub(crate) halts: usize,
     /// `(target round, node)` wake-ups, in commit order.
     pub(crate) wakes: Vec<(usize, NodeId)>,
-    pub(crate) trace: Vec<TraceEvent>,
     /// Broadcast records `(from, seq, skip, payload)` in commit order —
     /// replayed into the arena (and neighbor activation) by the merge.
     pub(crate) bcasts: Vec<(NodeId, u32, Option<NodeId>, M)>,
-    pub(crate) machine: Option<MachineShard>,
-    /// Adversarial plan only: the fate of every delivery of this
-    /// shard's nodes, in merged op order.
-    pub(crate) fates: Vec<Fate>,
-    /// Per-node scratch for the adversarial charge aggregation.
-    charged: Vec<(NodeId, usize)>,
 }
 
 impl<M: Payload> ShardOut<M> {
@@ -83,18 +59,12 @@ impl<M: Payload> ShardOut<M> {
             messages: 0,
             halts: 0,
             wakes: Vec::new(),
-            trace: Vec::new(),
             bcasts: Vec::new(),
-            machine: None,
-            fates: Vec::new(),
-            charged: Vec::new(),
         }
     }
 
-    /// Readies the buffers for a round. The machine shard itself is
-    /// left alone when the layer is attached — `absorb_shard` drains it
-    /// back to clean, and a fallback round never writes it.
-    fn reset(&mut self, machine_k: Option<usize>) {
+    /// Readies the buffers for a round.
+    fn reset(&mut self) {
         self.first_bad = None;
         self.max_edge = 0;
         self.max_sends = 0;
@@ -102,16 +72,7 @@ impl<M: Payload> ShardOut<M> {
         self.messages = 0;
         self.halts = 0;
         self.wakes.clear();
-        self.trace.clear();
         self.bcasts.clear();
-        self.fates.clear();
-        match machine_k {
-            Some(k) if self.machine.as_ref().is_none_or(|ms| ms.machine_count() != k) => {
-                self.machine = Some(MachineShard::new(k));
-            }
-            Some(_) => {}
-            None => self.machine = None,
-        }
     }
 }
 
@@ -129,12 +90,12 @@ impl<M: Payload> CommitScratch<M> {
         CommitScratch { outs: Vec::new(), buckets: Vec::new() }
     }
 
-    pub(crate) fn prepare(&mut self, shards: usize, machine_k: Option<usize>) {
+    pub(crate) fn prepare(&mut self, shards: usize) {
         if self.outs.len() < shards {
             self.outs.resize_with(shards, ShardOut::new);
         }
         for out in &mut self.outs[..shards] {
-            out.reset(machine_k);
+            out.reset();
         }
         if self.buckets.len() < shards * shards {
             self.buckets.resize_with(shards * shards, Vec::new);
@@ -161,10 +122,7 @@ impl<M: Payload> CommitScratch<M> {
             .iter()
             .map(|o| {
                 o.wakes.capacity() * size_of::<(usize, NodeId)>()
-                    + o.trace.capacity() * size_of::<TraceEvent>()
                     + o.bcasts.capacity() * size_of::<(NodeId, u32, Option<NodeId>, M)>()
-                    + o.fates.capacity() * size_of::<Fate>()
-                    + o.charged.capacity() * size_of::<(NodeId, usize)>()
             })
             .sum();
         self.outs.capacity() * size_of::<ShardOut<M>>()
@@ -221,39 +179,11 @@ impl<M: Payload> SenderRun<'_, '_, M> {
         }
     }
 
-    /// Adversarial plan pass: draws every delivery's fate into
-    /// `out.fates` (pure hash — identical to the sequential draws) and
-    /// validates the duplicate-inclusive per-edge charges.
-    pub(crate) fn plan_adversarial(&mut self, adv: &Adversary, round: usize, budget: usize) {
-        let out = &mut *self.out;
-        for (j, (&v, fx)) in self.work.iter().zip(self.effects.iter()).enumerate() {
-            if fx.fault.is_some() {
-                out.first_bad = Some(self.base_idx + j);
-                return;
-            }
-            let planned = plan_adversarial_node(
-                adv,
-                round,
-                budget,
-                v,
-                fx,
-                self.nbrs[j],
-                &mut out.fates,
-                &mut out.charged,
-                &mut out.max_edge,
-                &mut out.max_sends,
-            );
-            if planned.is_err() {
-                out.first_bad = Some(self.base_idx + j);
-                return;
-            }
-        }
-    }
-
     /// Clean commit pass: drains the shard's effects into its local
     /// buffers and metric windows. Only run after every shard's plan
-    /// came back clean.
-    pub(crate) fn commit(&mut self, ctx: &ShardCtx<'_>) {
+    /// came back clean. `dest_chunk` is the destination-shard width in
+    /// node ids (`⌈n / shards⌉`).
+    pub(crate) fn commit(&mut self, dest_chunk: usize) {
         let SenderRun {
             work,
             effects,
@@ -281,8 +211,8 @@ impl<M: Payload> SenderRun<'_, '_, M> {
             }
             // Route, merged back into call order by op sequence —
             // exactly the sequential fold's walk, writing shard-local.
-            let mut uni = fx.sends.drain(..).zip(fx.send_words.drain(..)).peekable();
-            let mut bc = fx.bcasts.drain(..).zip(fx.bcast_words.drain(..)).peekable();
+            let mut uni = fx.sends.drain(..).zip(fx.send_words.iter().copied()).peekable();
+            let mut bc = fx.bcasts.drain(..).zip(fx.bcast_words.iter().copied()).peekable();
             loop {
                 let take_uni = match (uni.peek(), bc.peek()) {
                     (Some(&((useq, _, _), _)), Some(&((bseq, _, _), _))) => useq < bseq,
@@ -295,13 +225,7 @@ impl<M: Payload> SenderRun<'_, '_, M> {
                     out.words += words as u64;
                     out.messages += 1;
                     sent[(vi) as usize] += 1;
-                    if ctx.trace_on {
-                        out.trace.push(TraceEvent::Sent { round: ctx.round, from: v, to, words });
-                    }
-                    if let (Some(ms), Some(map)) = (out.machine.as_mut(), ctx.machines) {
-                        ms.unicast(map, v, to, words);
-                    }
-                    buckets[(to / (ctx.dest_chunk) as u32) as usize].push((v, seq, to, msg));
+                    buckets[(to / (dest_chunk) as u32) as usize].push((v, seq, to, msg));
                 } else {
                     let ((seq, skip, msg), words) = bc.next().expect("peeked");
                     let count = nbrs.len() - usize::from(skip.is_some());
@@ -311,47 +235,17 @@ impl<M: Payload> SenderRun<'_, '_, M> {
                     out.words += words as u64 * count as u64;
                     out.messages += count as u64;
                     sent[(vi) as usize] += count as u64;
-                    if ctx.trace_on {
-                        for &to in nbrs {
-                            if Some(to) != skip {
-                                out.trace.push(TraceEvent::Sent {
-                                    round: ctx.round,
-                                    from: v,
-                                    to,
-                                    words,
-                                });
-                            }
-                        }
-                    }
-                    if let (Some(ms), Some(map)) = (out.machine.as_mut(), ctx.machines) {
-                        ms.begin_broadcast(map, v, words);
-                        for &to in nbrs {
-                            if Some(to) != skip {
-                                ms.broadcast_dest(map, to);
-                            }
-                        }
-                    }
                     out.bcasts.push((v, seq, skip, msg));
                 }
             }
             if let Some(target) = fx.wake {
                 if !fx.halted {
                     out.wakes.push((target, v));
-                    if ctx.trace_on {
-                        out.trace.push(TraceEvent::WakeScheduled {
-                            round: ctx.round,
-                            node: v,
-                            target,
-                        });
-                    }
                 }
             }
             if fx.halted && !halted[(vi) as usize] {
                 halted[(vi) as usize] = true;
                 out.halts += 1;
-                if ctx.trace_on {
-                    out.trace.push(TraceEvent::Halted { round: ctx.round, node: v });
-                }
             }
         }
     }
@@ -484,90 +378,6 @@ pub(crate) fn check_bandwidth<M: Payload>(
                 *max_edge = words;
             }
         }
-    }
-    Ok(())
-}
-
-/// Adversarial pass 1 for one node: draws the [`Fate`] of every
-/// delivery (merged op order, broadcasts expanded over ascending
-/// addressed neighbors) into `fates`, and checks the per-edge budgets
-/// with duplicates charged twice. Updates `max_sends` before and
-/// `max_edge` during the charge aggregation, mirroring the sequential
-/// commit's update points exactly. Pure with respect to the engine:
-/// reads effects, writes only the caller's accumulators.
-///
-/// Shared by the sequential adversarial commit and the sharded plan
-/// pass — the draws are placement-independent by construction.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn plan_adversarial_node<M: Payload>(
-    adv: &Adversary,
-    round: usize,
-    budget: usize,
-    v: NodeId,
-    fx: &Effects<M>,
-    nbrs: &[NodeId],
-    fates: &mut Vec<Fate>,
-    charged: &mut Vec<(NodeId, usize)>,
-    max_edge: &mut usize,
-    max_sends: &mut usize,
-) -> Result<(), (NodeId, usize)> {
-    charged.clear();
-    let mut attempts = 0usize;
-    let (mut ui, mut bi) = (0, 0);
-    loop {
-        let take_uni = match (fx.sends.get(ui), fx.bcasts.get(bi)) {
-            (Some(&(useq, _, _)), Some(&(bseq, _, _))) => useq < bseq,
-            (Some(_), None) => true,
-            (None, Some(_)) => false,
-            (None, None) => break,
-        };
-        if take_uni {
-            let (seq, to, _) = fx.sends[ui];
-            let words = fx.send_words[ui];
-            ui += 1;
-            let fate = adv.fate(round, v, seq, to);
-            let w = if fate == Fate::Duplicate { words * 2 } else { words };
-            fates.push(fate);
-            charged.push((to, w));
-            attempts += usize::from(fate == Fate::Duplicate) + 1;
-        } else {
-            let (seq, skip, _) = fx.bcasts[bi];
-            let words = fx.bcast_words[bi];
-            bi += 1;
-            for &to in nbrs {
-                if Some(to) == skip {
-                    continue;
-                }
-                let fate = adv.fate(round, v, seq, to);
-                let w = if fate == Fate::Duplicate { words * 2 } else { words };
-                fates.push(fate);
-                charged.push((to, w));
-                attempts += usize::from(fate == Fate::Duplicate) + 1;
-            }
-        }
-    }
-    if attempts > *max_sends {
-        *max_sends = attempts;
-    }
-    // Stable sort, then aggregate per destination ascending: same
-    // first-violation destination as the clean fold's walk.
-    charged.sort_by_key(|&(to, _)| to);
-    let mut a = 0;
-    while a < charged.len() {
-        let to = charged[a].0;
-        let mut words = 0usize;
-        let mut b = a;
-        while b < charged.len() && charged[b].0 == to {
-            words += charged[b].1;
-            b += 1;
-        }
-        if words > budget {
-            return Err((to, words));
-        }
-        if words > *max_edge {
-            *max_edge = words;
-        }
-        a = b;
     }
     Ok(())
 }

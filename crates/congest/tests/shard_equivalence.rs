@@ -1,9 +1,14 @@
 //! Property tests pinning the **sharded parallel commit fold** against
 //! the sequential fold bit-for-bit: outcomes (including typed
-//! failures), [`Metrics`], trace order, k-machine link loads, and
-//! adversarial fault schedules must be identical for every forced
-//! `commit_shards` count, on a single-threaded engine (shards run
-//! inline) and across the worker pool alike.
+//! failures), [`Metrics`] and per-node activation logs must be identical
+//! for every forced `commit_shards` count, on a single-threaded engine
+//! (shards run inline) and across the worker pool alike.
+//!
+//! Only clean rounds shard — no trace, no k-machine layer, no active
+//! adversary. The traced cases below force `commit_shards` too, so they
+//! pin that such rounds fall back to the sequential fold unchanged:
+//! trace order, k-machine link loads and adversarial fault schedules
+//! included.
 
 use dhc_congest::{
     Adversary, Config, Context, Inbox, MachineMap, MachineRoundLog, Metrics, Network, NodeId,
@@ -76,16 +81,28 @@ type Observed = (
     Option<MachineRoundLog>,
 );
 
-/// Runs the scripts on a ring with the given engine settings; `None`
-/// shards means "leave auto mode" (the sequential baseline at 1
-/// thread). `machines` attaches the k-machine layer, `adversary` the
-/// fault layer.
+/// Runs the scripts on a ring with the given engine settings and a
+/// 1 000 000-event trace; `None` shards means "leave auto mode" (the
+/// sequential baseline at 1 thread). `machines` attaches the k-machine
+/// layer, `adversary` the fault layer.
 fn run_scripts(
     scripts: &[Vec<Step>],
     threads: usize,
     shards: Option<usize>,
     machines: bool,
     adversary: Option<Adversary>,
+) -> Observed {
+    run_scripts_traced(scripts, threads, shards, machines, adversary, 1_000_000)
+}
+
+/// [`run_scripts`] with the trace capacity given (`0` disables tracing).
+fn run_scripts_traced(
+    scripts: &[Vec<Step>],
+    threads: usize,
+    shards: Option<usize>,
+    machines: bool,
+    adversary: Option<Adversary>,
+    trace_capacity: usize,
 ) -> Observed {
     let n = scripts.len();
     let g = dhc_graph::generator::cycle_graph(n);
@@ -101,7 +118,7 @@ fn run_scripts(
         .collect();
     let mut cfg = Config::default()
         .with_bandwidth_words(4)
-        .with_trace_capacity(1_000_000)
+        .with_trace_capacity(trace_capacity)
         .with_engine_threads(threads);
     if let Some(s) = shards {
         cfg = cfg.with_commit_shards(s);
@@ -131,8 +148,33 @@ const SHARD_COUNTS: [usize; 4] = [1, 2, 3, 7];
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
-    /// Clean engine + k-machine layer: forced sharding at every count,
+    /// Clean rounds — no trace, no k-machine layer, no adversary — are
+    /// the ones that actually shard: forced sharding at every count,
     /// inline and pooled, equals the sequential fold.
+    #[test]
+    fn sharded_commit_equals_sequential_untraced(
+        scripts in prop::collection::vec(
+            prop::collection::vec(
+                (1usize..5, any::<bool>(), any::<bool>(), any::<bool>()),
+                0..6,
+            ),
+            3..9,
+        ),
+    ) {
+        let baseline = run_scripts_traced(&scripts, 1, None, false, None, 0);
+        for shards in SHARD_COUNTS {
+            for threads in [1, 2] {
+                let got = run_scripts_traced(&scripts, threads, Some(shards), false, None, 0);
+                prop_assert_eq!(
+                    &baseline, &got,
+                    "diverged at commit_shards = {}, engine_threads = {}", shards, threads
+                );
+            }
+        }
+    }
+
+    /// Traced engine + k-machine layer: forcing `commit_shards` at every
+    /// count, inline and pooled, keeps the sequential fold's results.
     #[test]
     fn sharded_commit_equals_sequential(
         scripts in prop::collection::vec(
@@ -155,8 +197,8 @@ proptest! {
         }
     }
 
-    /// Faulty engine: the sharded plan draws the same fate schedule the
-    /// sequential commit does, so outcomes, traces, and realized
+    /// Faulty engine: forcing `commit_shards` keeps the sequential
+    /// commit's fate schedule, so outcomes, traces, and realized
     /// drops/duplicates/delays/crashes stay identical.
     #[test]
     fn sharded_commit_equals_sequential_under_adversary(

@@ -56,10 +56,13 @@ pub struct DhcConfig {
     pub engine_threads: usize,
     /// Shard count for the round engine's commit fold
     /// (`dhc_congest::Config::commit_shards`): `0` (the default)
-    /// auto-shards, any other value forces that many shards. Results
-    /// are **identical for every value** — the sharded merge reproduces
-    /// the sequential fold bit for bit; the knob exists for
-    /// benchmarking and the equivalence suites.
+    /// auto-shards, any other value forces that many shards. Either way
+    /// only clean rounds shard: a trace, the k-machine layer or an
+    /// active adversary keeps every round on the sequential fold (a
+    /// collector does not — it is fed after the fold). Results are
+    /// **identical for every value** — the sharded merge reproduces the
+    /// sequential fold bit for bit; the knob exists for benchmarking and
+    /// the equivalence suites.
     pub commit_shards: usize,
     /// Phase 1 runs each color class as a **zero-copy**
     /// [`dhc_graph::ClassView`] over one shared

@@ -4,9 +4,10 @@
 //! [`Collector`] receives per-round engine events and span open/close
 //! notifications, and may aggregate them into histograms, heartbeat
 //! lines, or JSONL run records — but it can never influence the
-//! simulation. The engine drives a collector only from its sequential
-//! commit-fold bookkeeping (the same contract as the k-machine
-//! accounting layer), so a collector-attached run is **bit-identical**
+//! simulation. The engine feeds a collector once per committed round,
+//! after the commit fold and on its own thread, from a read-only walk
+//! over the round's effects — neither the sequential nor the sharded
+//! fold touches it — so a collector-attached run is **bit-identical**
 //! to a detached one at every `engine_threads` / `commit_shards`
 //! setting; `crates/core/tests/obs_equivalence.rs` pins exactly that.
 //!
@@ -100,7 +101,7 @@ pub struct RoundObs<'a> {
     /// for round 0.
     pub inbox: &'a [(u32, usize)],
     /// Per-executed-node protocol compute charges (`ctx.charge`) in
-    /// `executed` order. Empty when no collector pre-pass ran.
+    /// `executed` order.
     pub compute: &'a [u64],
     /// Unicast send *operations* committed this round.
     pub unicast_ops: u64,
