@@ -20,8 +20,10 @@
 //! fate of a delivery is drawn by hashing
 //! `(fault_seed, round, sender, op index, destination)` through the
 //! workspace-standard SplitMix64 chain ([`dhc_graph::rng::derive_seed`]),
-//! and all draws happen inside the engine's sequential commit fold (or
-//! the equally sequential delay-queue injection). The realized fault
+//! and all draws happen on the engine's thread: in the sequential commit
+//! fold, which charges and routes each copy by its fate, and in the
+//! observation walk after it, which redraws the same fates for the trace,
+//! the k-machine layer and the collector. The realized fault
 //! schedule — and therefore the entire execution — is bit-identical at
 //! every [`Config::engine_threads`](crate::Config::engine_threads)
 //! setting, exactly like the clean engine

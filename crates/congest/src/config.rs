@@ -3,7 +3,8 @@
 use crate::adversary::Adversary;
 use dhc_obs::CollectorHandle;
 
-/// Engine configuration: round budget, bandwidth, and metric sampling.
+/// Engine configuration: round budget, bandwidth, threading, and the
+/// attached observers and fault model.
 ///
 /// # Example
 ///
@@ -22,13 +23,6 @@ pub struct Config {
     /// Per-directed-edge, per-round budget in message words (the CONGEST
     /// `B`, in units of `Θ(log n)`-bit words). Default 1.
     pub bandwidth_words: usize,
-    /// Enables `Protocol::memory_words` sampling when non-zero: the
-    /// engine samples every node at **every activation** (the peak is
-    /// what the metrics keep, so denser sampling only tightens it).
-    /// 0 disables sampling entirely. The magnitude is currently
-    /// reserved — a future engine may skip rounds at large values —
-    /// and defaults to 16.
-    pub memory_sample_interval: usize,
     /// Record the per-round message counts (cheap; enables congestion
     /// plots). Default true.
     pub record_round_traffic: bool,
@@ -54,11 +48,12 @@ pub struct Config {
     /// one exists and the round is busy enough to amortize the merge —
     /// while any other value **forces** that many shards through the
     /// sharded code path even on a single-threaded engine (the shards
-    /// then run inline). Forced or auto, only **clean** rounds shard: a
-    /// trace, a k-machine layer or an active adversary sends every
-    /// round through the sequential fold. Results are identical for
-    /// every value; the knob exists for benchmarking and for the
-    /// shard-merge equivalence suites, which pin
+    /// then run inline). Forced or auto, every round shards except under
+    /// an active adversary, whose per-delivery fate draws keep the
+    /// sequential fold; trace, k-machine layer and collector are fed
+    /// after either fold and never hold a round back. Results are
+    /// identical for every value; the knob exists for benchmarking and
+    /// for the shard-merge equivalence suites, which pin
     /// `commit_shards ∈ {1,2,3,7}` against the sequential fold
     /// bit-for-bit.
     pub commit_shards: usize,
@@ -67,13 +62,13 @@ pub struct Config {
     /// runs the clean synchronous CONGEST engine unchanged; see
     /// [`Adversary`].
     pub adversary: Option<Adversary>,
-    /// Optional telemetry collector (see [`dhc_obs`]). Like the
-    /// k-machine layer, a collector is **pure observation**: it is fed
-    /// once per committed round, after the commit fold, from a read-only
-    /// walk over the round's effects — neither fold touches it, so a
-    /// sharded round stays sharded with a collector attached, and
-    /// attaching one cannot change outcomes, [`Metrics`](crate::Metrics),
-    /// traces, or realized fault schedules at any thread/shard count.
+    /// Optional telemetry collector (see [`dhc_obs`]). Like the trace and
+    /// the k-machine layer, a collector is **pure observation**: it is
+    /// fed once per committed round by the engine's read-only walk over
+    /// the round's effects after the commit fold — neither fold touches
+    /// it, and attaching one cannot change outcomes,
+    /// [`Metrics`](crate::Metrics), traces, or realized fault schedules
+    /// at any thread/shard count.
     /// `None` (the default) skips every telemetry code path.
     pub collector: Option<CollectorHandle>,
 }
@@ -83,7 +78,6 @@ impl Default for Config {
         Config {
             max_rounds: 1_000_000,
             bandwidth_words: 1,
-            memory_sample_interval: 16,
             record_round_traffic: true,
             trace_capacity: 0,
             engine_threads: 1,
@@ -109,12 +103,6 @@ impl Config {
     pub fn with_bandwidth_words(mut self, words: usize) -> Self {
         assert!(words > 0, "bandwidth must be at least one word");
         self.bandwidth_words = words;
-        self
-    }
-
-    /// Returns the configuration with the memory sampling interval replaced.
-    pub fn with_memory_sample_interval(mut self, interval: usize) -> Self {
-        self.memory_sample_interval = interval;
         self
     }
 
@@ -197,12 +185,8 @@ mod tests {
 
     #[test]
     fn builder_chains() {
-        let c = Config::default()
-            .with_max_rounds(5)
-            .with_bandwidth_words(3)
-            .with_memory_sample_interval(0)
-            .with_engine_threads(4);
-        assert_eq!((c.max_rounds, c.bandwidth_words, c.memory_sample_interval), (5, 3, 0));
+        let c = Config::default().with_max_rounds(5).with_bandwidth_words(3).with_engine_threads(4);
+        assert_eq!((c.max_rounds, c.bandwidth_words), (5, 3));
         assert_eq!(c.engine_threads, 4);
     }
 

@@ -53,6 +53,15 @@ pub enum SimError {
         /// Nodes still not halted.
         unhalted: usize,
     },
+    /// The configured [`Adversary`](crate::Adversary) delays messages
+    /// (`delay_ppm > 0`) but bounds the delay at `max_delay == 0`, so no
+    /// delay can be drawn. [`Adversary::with_delay`](crate::Adversary::with_delay)
+    /// rejects this; a value built from the public fields can still hold
+    /// it.
+    InvalidAdversary {
+        /// The configured delay probability in parts per million.
+        delay_ppm: u32,
+    },
 }
 
 impl fmt::Display for SimError {
@@ -76,6 +85,9 @@ impl fmt::Display for SimError {
             }
             SimError::Stalled { round, unhalted } => {
                 write!(f, "protocol stalled in round {round} with {unhalted} nodes still running")
+            }
+            SimError::InvalidAdversary { delay_ppm } => {
+                write!(f, "adversary delays {delay_ppm} ppm of messages but max_delay is 0")
             }
         }
     }
@@ -101,6 +113,7 @@ mod tests {
             },
             SimError::RoundLimitExceeded { max_rounds: 10, unhalted: 4 },
             SimError::Stalled { round: 2, unhalted: 1 },
+            SimError::InvalidAdversary { delay_ppm: 5 },
         ];
         for e in errs {
             assert!(!e.to_string().is_empty());

@@ -24,11 +24,12 @@
 //!   [`Config::engine_threads`] sets the worker count, served by a
 //!   persistent worker pool) followed by a **deterministic commit
 //!   fold** that applies the effects in ascending node-id order — on
-//!   busy clean rounds (no trace, k-machine layer or adversary) the
-//!   fold itself runs sharded across the pool, with a merge that
-//!   reproduces the sequential fold bit for bit, so results are
-//!   identical at every thread count; an attached collector is fed
-//!   after the fold, never from inside it;
+//!   busy rounds without an active adversary the fold itself runs
+//!   sharded across the pool, with a merge that reproduces the
+//!   sequential fold bit for bit, so results are identical at every
+//!   thread count; trace, k-machine layer and collector are fed by one
+//!   walk over the committed effects after the fold, never from inside
+//!   it;
 //! * [`Metrics`] — rounds, messages, message-words, per-node send/receive/
 //!   compute counters, sampled per-node memory high-water marks, and
 //!   per-round congestion, feeding the paper's "fully distributed"
@@ -45,10 +46,10 @@
 //!   bounded delay with fixed-point probability knobs, plus node
 //!   crash/restart schedules. Every fault is a pure function of the
 //!   fault seed and the delivery's identity, drawn inside the commit
-//!   fold, so faulty executions keep the engine's
-//!   bit-identical-at-every-thread-count guarantee; a null adversary
-//!   ([`Adversary::none`]) leaves the clean code paths untouched
-//!   entirely.
+//!   fold (and redrawn by the walk after it), so faulty executions
+//!   keep the engine's bit-identical-at-every-thread-count guarantee; a
+//!   null adversary ([`Adversary::none`]) leaves the clean code paths
+//!   untouched entirely.
 //!
 //! The engine is *event-efficient*: only nodes with a non-empty inbox or a
 //! scheduled wake-up are invoked, so simulation cost is proportional to

@@ -23,13 +23,16 @@
 //!   round is the synchronization barrier every executed CONGEST round
 //!   needs. See [`link_schedule`] for the packing rule.
 //!
-//! The layer is **pure accounting**: it observes the commit fold and never
-//! influences scheduling, delivery, bandwidth checks, or protocol state,
-//! so a machine-instrumented run produces bit-identical outcomes, CONGEST
-//! [`Metrics`](crate::Metrics), and traces to the plain run. Because it
-//! runs inside the sequential commit fold, its numbers are also identical
-//! at every [`Config::engine_threads`](crate::Config::engine_threads)
-//! setting.
+//! The layer is **pure accounting**: it is just another observer of the
+//! commit fold, fed after the fold by the engine's one walk over the
+//! round's committed effects, and never influences scheduling, delivery,
+//! bandwidth checks, or protocol state, so a machine-instrumented run
+//! produces bit-identical outcomes, CONGEST [`Metrics`](crate::Metrics),
+//! and traces to the plain run. The walk visits the committed nodes in
+//! ascending order on the caller's thread, so its numbers are also
+//! identical at every
+//! [`Config::engine_threads`](crate::Config::engine_threads) and
+//! [`Config::commit_shards`](crate::Config::commit_shards) setting.
 //!
 //! Per-round link loads are retained in a [`MachineRoundLog`] (sparse:
 //! only touched links) rather than folded immediately, because phases of
@@ -468,8 +471,8 @@ impl MachineMetrics {
     }
 }
 
-/// The live accounting hook the commit fold drives; owns the
-/// [`MachineMap`] and the per-round scratch, and grows a
+/// The live accounting hook the engine's post-fold observation walk
+/// feeds; owns the [`MachineMap`] and the per-round scratch, and grows a
 /// [`MachineRoundLog`].
 #[derive(Debug)]
 pub(crate) struct MachineLayer {
@@ -482,10 +485,6 @@ pub(crate) struct MachineLayer {
     /// Per-machine epoch marks for O(1) broadcast dedup.
     seen_epoch: Vec<u64>,
     epoch: u64,
-    /// Sender machine and payload words of the broadcast currently being
-    /// committed.
-    bcast_from: usize,
-    bcast_words: u64,
     log: MachineRoundLog,
 }
 
@@ -498,8 +497,6 @@ impl MachineLayer {
             touched: Vec::new(),
             seen_epoch: vec![0; k],
             epoch: 0,
-            bcast_from: 0,
-            bcast_words: 0,
             log: MachineRoundLog::empty(k),
         }
     }
@@ -523,27 +520,30 @@ impl MachineLayer {
         }
     }
 
-    /// Starts committing one broadcast op; follow with one
-    /// [`broadcast_dest`](Self::broadcast_dest) per addressed neighbor.
-    /// The payload crosses each link (and stays on the sender's machine)
-    /// **once**, no matter how many addressed neighbors a machine hosts.
-    pub(crate) fn begin_broadcast(&mut self, from: NodeId, words: usize) {
+    /// One committed broadcast from `from` to every node of `nbrs` but
+    /// `skip`. The payload crosses each link (and stays on the sender's
+    /// machine) **once**, no matter how many addressed neighbors a
+    /// machine hosts.
+    pub(crate) fn broadcast(
+        &mut self,
+        from: NodeId,
+        nbrs: &[NodeId],
+        skip: Option<NodeId>,
+        words: usize,
+    ) {
         self.epoch += 1;
-        self.bcast_from = self.map.machine_of(from);
-        self.bcast_words = words as u64;
-    }
-
-    /// One addressed neighbor of the current broadcast.
-    pub(crate) fn broadcast_dest(&mut self, to: NodeId) {
-        let m = self.map.machine_of(to);
-        if self.seen_epoch[m] == self.epoch {
-            return; // this machine already carries the payload
-        }
-        self.seen_epoch[m] = self.epoch;
-        if m == self.bcast_from {
-            self.log.record_intra(self.bcast_words);
-        } else {
-            self.add_link(self.bcast_from, m, self.bcast_words);
+        let (mf, words) = (self.map.machine_of(from), words as u64);
+        for &to in nbrs.iter().filter(|&&to| Some(to) != skip) {
+            let m = self.map.machine_of(to);
+            if self.seen_epoch[m] == self.epoch {
+                continue; // this machine already carries the payload
+            }
+            self.seen_epoch[m] = self.epoch;
+            if m == mf {
+                self.log.record_intra(words);
+            } else {
+                self.add_link(mf, m, words);
+            }
         }
     }
 
@@ -565,7 +565,7 @@ impl MachineLayer {
     /// The just-closed round's sorted directed link loads — valid after
     /// [`end_round`](Self::end_round), which pushes one entry per
     /// executed round (so the log's last entry *is* the current round).
-    /// Read by the engine's telemetry emission; never mutated by it.
+    /// Read by the engine's collector feed; never mutated by it.
     pub(crate) fn last_round_links(&self) -> &[(u32, u64)] {
         self.log.rounds.last().map_or(&[], |r| &r.links[..])
     }
@@ -615,17 +615,16 @@ mod tests {
         // Machines: node 0 on m0; nodes 1, 2 on m1; node 3 on m2; node 4
         // on m0 (co-hosted with the sender).
         let mut l = MachineLayer::new(MachineMap::new(vec![0, 1, 1, 2, 0], 3));
-        l.begin_broadcast(0, 5);
-        for to in [1, 2, 3, 4] {
-            l.broadcast_dest(to);
-        }
+        l.broadcast(0, &[1, 2, 3, 4], None, 5);
+        // Skipping node 3 leaves m2 out of the second broadcast.
+        l.broadcast(0, &[1, 2, 3, 4], Some(3), 1);
         l.end_round(1);
         let log = l.into_log();
-        // m1 hosts two receivers but the payload crossed once; m0's
+        // m1 hosts two receivers but each payload crossed once; m0's
         // receiver is intra (free).
-        assert_eq!(log.cross_messages(), 2);
-        assert_eq!(log.intra_words(), 5);
-        assert_eq!(log.rounds()[0].links, vec![(1, 5), (2, 5)]);
+        assert_eq!(log.cross_messages(), 3);
+        assert_eq!(log.intra_words(), 6);
+        assert_eq!(log.rounds()[0].links, vec![(1, 6), (2, 5)]);
     }
 
     #[test]

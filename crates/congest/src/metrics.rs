@@ -28,8 +28,8 @@ pub struct Metrics {
     /// [`Context::charge_compute`](crate::Context::charge_compute), plus one
     /// unit per delivered message).
     pub compute_per_node: Vec<u64>,
-    /// Sampled peak of `Protocol::memory_words` per node (0 if the protocol
-    /// opts out or sampling is disabled).
+    /// Peak of `Protocol::memory_words` per node, sampled after every
+    /// activation (0 if the protocol opts out).
     pub peak_memory_per_node: Vec<usize>,
     /// Messages delivered in each round (empty if recording disabled).
     pub round_traffic: Vec<u64>,

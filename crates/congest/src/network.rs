@@ -8,37 +8,41 @@
 //!    is mutated, so the nodes of one round run on any number of worker
 //!    threads ([`Config::engine_threads`]).
 //! 2. **Commit fold** — the effects are applied in ascending node-id
-//!    order: bandwidth checks, metrics, trace events, wake-up
-//!    scheduling, halting, and routing of sends into the next round's
-//!    [`Mailboxes`] all happen here, so the result is bit-identical at
-//!    every thread count. Broadcast effects (`send_all` /
-//!    `send_all_except`) commit **one** payload copy into the round's
-//!    broadcast arena and activate each addressed neighbor with a
-//!    counter bump, while bandwidth, metrics, and trace are still
-//!    charged per directed edge — observationally identical to the
-//!    per-neighbor unicast expansion, at a fraction of the cost.
+//!    order: bandwidth checks, metrics, wake-up scheduling, halting, and
+//!    routing of sends into the next round's [`Mailboxes`] all happen
+//!    here, so the result is bit-identical at every thread count.
+//!    Broadcast effects (`send_all` / `send_all_except`) commit **one**
+//!    payload copy into the round's broadcast arena and activate each
+//!    addressed neighbor with a counter bump, while bandwidth and metrics
+//!    are still charged per directed edge — observationally identical to
+//!    the per-neighbor unicast expansion, at a fraction of the cost.
 //!
 //! Both phases share one persistent [`dhc_pool::WorkerPool`], built at
 //! network construction and parked between dispatches, so a round costs
-//! a lock-and-notify rather than thread spawns. On busy **clean** rounds
-//! — no trace, no k-machine layer, no active adversary — the commit fold
-//! itself runs **sharded** (see [`crate::parcommit`]): the fold is
-//! validated by a read-only parallel plan pass, committed into per-shard
-//! buffers, and merged in ascending shard order — which *is* ascending
-//! node order — so its metrics, deliveries and typed failures equal the
-//! sequential fold's bit for bit. Any planned fault or bandwidth
-//! violation falls back to the sequential fold over untouched state,
-//! preserving the exact partial-commit error semantics. Traced,
-//! k-machine and adversarial rounds always take the sequential fold,
-//! forced [`Config::commit_shards`] or not.
+//! a lock-and-notify rather than thread spawns. On busy rounds without an
+//! active adversary the commit fold itself runs **sharded** (see
+//! [`crate::parcommit`]): the fold is validated by a read-only parallel
+//! plan pass, committed into per-shard buffers, and merged in ascending
+//! shard order — which *is* ascending node order — so its metrics,
+//! deliveries and typed failures equal the sequential fold's bit for bit.
+//! Any planned fault or bandwidth violation falls back to the sequential
+//! fold over untouched state, preserving the exact partial-commit error
+//! semantics. Adversarial rounds, which draw a fate per delivery, always
+//! take the sequential fold, forced [`Config::commit_shards`] or not.
 //!
-//! An attached collector never rides either fold: after the round is
-//! committed, the engine walks the executed nodes' effects once more and
-//! reads the op counts, compute charges, halts and wake-ups the fold
-//! leaves in place.
+//! No observer rides either fold. After the fold, one walk over the
+//! committed prefix of the round's effects — every executed node, or the
+//! nodes before the one that faulted — feeds the trace (sends, fault
+//! fates, wake requests, halts), the k-machine layer and the collector.
+//! The folds copy payloads out instead of draining them, so the walk
+//! still reads every op, and it redraws adversarial fates from the pure
+//! [`Adversary::fate`](crate::Adversary::fate). Scheduling events
+//! (wake-only activations, crashes, restarts) are traced in
+//! [`Network::step`], where they happen. With no observer attached the
+//! walk is skipped: one branch per round.
 
-use crate::adversary::{Adversary, AdversaryState, Fate};
-use crate::effects::Effects;
+use crate::adversary::{AdversaryState, Fate};
+use crate::effects::{Dest, Effects};
 use crate::machine::{MachineLayer, MachineMap};
 use crate::mailbox::{Inbox, Mailboxes};
 use crate::parcommit::{self, CommitScratch, DestRun, SenderRun};
@@ -53,7 +57,7 @@ use std::collections::BinaryHeap;
 /// Minimum active nodes in a round before the auto-sharded commit fold
 /// pays for its plan pass and merge; below this the sequential fold is
 /// faster. Forcing [`Config::commit_shards`] bypasses the threshold on
-/// clean rounds.
+/// every round without an active adversary.
 const PAR_COMMIT_MIN_ACTIVE: usize = 256;
 
 /// A synchronous CONGEST network: a topology, one [`Protocol`] instance per
@@ -68,8 +72,9 @@ const PAR_COMMIT_MIN_ACTIVE: usize = 256;
 /// Execution is deterministic — and independent of
 /// [`Config::engine_threads`]: the parallel compute phase writes only
 /// per-node scratch, and all shared state is updated by the commit fold
-/// in ascending node-id order. Inboxes are sorted by sender. Only nodes
-/// with pending messages or scheduled wake-ups run in a given round.
+/// (and observed by the walk after it) in ascending node-id order.
+/// Inboxes are sorted by sender. Only nodes with pending messages or
+/// scheduled wake-ups run in a given round.
 pub struct Network<'g, P: Protocol, T: Topology = Graph> {
     graph: &'g T,
     config: Config,
@@ -98,19 +103,17 @@ pub struct Network<'g, P: Protocol, T: Topology = Graph> {
     /// everything then runs inline on the caller's thread).
     pool: Option<WorkerPool>,
     /// Optional k-machine accounting layer (see [`crate::machine`]):
-    /// driven only by the sequential commit fold, so it observes the run
+    /// fed only by the post-fold observation walk, so it observes the run
     /// without influencing it and is deterministic at every thread count.
     machines: Option<MachineLayer>,
     /// Optional seeded fault layer (see [`crate::adversary`]): attached
     /// like the machine layer but *influencing* delivery. `None` when no
     /// adversary — or a null one — is configured, so the clean engine
-    /// paths run bit-for-bit unchanged. All fault draws happen in the
-    /// sequential commit fold (or the equally sequential delay-queue
-    /// injection), keeping every-thread-count determinism.
+    /// paths run bit-for-bit unchanged. Fault draws are pure functions of
+    /// the fault seed, made by the sequential adversarial fold (and
+    /// redrawn by the observation walk), keeping every-thread-count
+    /// determinism.
     adversary: Option<AdversaryState>,
-    /// Reusable per-node scratch for the adversarial commit: the drawn
-    /// fate of each delivery, in merged op order.
-    scratch_fates: Vec<Fate>,
     /// Reusable per-node scratch for the adversarial bandwidth check:
     /// `(destination, charged words)` per delivery.
     scratch_charged: Vec<(NodeId, usize)>,
@@ -123,17 +126,13 @@ pub struct Network<'g, P: Protocol, T: Topology = Graph> {
     /// Reusable per-shard buffers of the parallel commit fold.
     commit: CommitScratch<P::Msg>,
     /// Optional telemetry collector (see [`dhc_obs`]), cloned out of the
-    /// config once so emission needs no config borrow. Driven only from
-    /// the post-fold bookkeeping, after the round is fully committed —
+    /// config once so emission needs no config borrow. Fed by the
+    /// post-fold observation walk, after the round is fully committed —
     /// pure observation, like the machine layer.
     obs: Option<dhc_obs::CollectorHandle>,
     /// Reusable telemetry scratch: this round's per-executed-node
-    /// compute charges, read off the effects after the fold. Only
-    /// filled when a collector is attached.
+    /// compute charges, read off the effects by the observation walk.
     obs_compute: Vec<u64>,
-    /// This round's realized delivery fates `[dropped, duplicated,
-    /// delayed]`, tallied by the adversarial routing.
-    obs_fates: [u64; 3],
     /// This round's crash-schedule events `[crashes, restarts]`.
     obs_crash: [u64; 2],
 }
@@ -156,8 +155,10 @@ impl<'g, P: Protocol, T: Topology> Network<'g, P, T> {
     ///
     /// # Errors
     ///
-    /// [`SimError::NodeCountMismatch`] if `protocols.len() != n`, or any
-    /// fault raised by an `init` callback (e.g. sending to a non-neighbor).
+    /// [`SimError::NodeCountMismatch`] if `protocols.len() != n`,
+    /// [`SimError::InvalidAdversary`] if the configured adversary delays
+    /// messages with no delay bound, or any fault raised by an `init`
+    /// callback (e.g. sending to a non-neighbor).
     pub fn new(graph: &'g T, config: Config, protocols: Vec<P>) -> Result<Self, SimError> {
         Self::new_inner(graph, config, protocols, None, None)
     }
@@ -229,6 +230,14 @@ impl<'g, P: Protocol, T: Topology> Network<'g, P, T> {
                 protocols: protocols.len(),
             });
         }
+        // `Adversary`'s fields are public, so a hand-built value can skip
+        // the `with_delay` check; `Adversary::fate` would then take a
+        // remainder by zero.
+        if let Some(adv) = &config.adversary {
+            if adv.delay_ppm > 0 && adv.max_delay == 0 {
+                return Err(SimError::InvalidAdversary { delay_ppm: adv.delay_ppm });
+            }
+        }
         let n = graph.node_count();
         let threads = config.effective_engine_threads();
         let parts = match scratch {
@@ -263,14 +272,12 @@ impl<'g, P: Protocol, T: Topology> Network<'g, P, T> {
             pool: parts.pool,
             machines,
             adversary,
-            scratch_fates: parts.fates,
             scratch_charged: parts.charged,
             scratch_nbrs: Vec::new(),
             scratch_dirs: Vec::new(),
             commit: parts.commit,
             obs,
             obs_compute: Vec::new(),
-            obs_fates: [0; 3],
             obs_crash: [0; 2],
         };
         // Pre-schedule a wake at every restart round, so a restarted
@@ -318,7 +325,6 @@ impl<'g, P: Protocol, T: Topology> Network<'g, P, T> {
             + self.scratch_active.capacity() * size_of::<(NodeId, usize)>()
             + self.scratch_work.capacity() * size_of::<NodeId>()
             + self.wakes.capacity() * size_of::<Reverse<(usize, NodeId)>>()
-            + self.scratch_fates.capacity() * size_of::<Fate>()
             + self.scratch_charged.capacity() * size_of::<(NodeId, usize)>()
             + self.scratch_nbrs.capacity() * size_of::<&[NodeId]>()
             + self.scratch_dirs.capacity() * size_of::<(&[NodeId], Option<NodeId>)>();
@@ -361,7 +367,6 @@ impl<'g, P: Protocol, T: Topology> Network<'g, P, T> {
             metrics,
             pool,
             machines,
-            scratch_fates,
             scratch_charged,
             commit,
             ..
@@ -373,7 +378,6 @@ impl<'g, P: Protocol, T: Topology> Network<'g, P, T> {
             woken: scratch_woken,
             active: scratch_active,
             work: scratch_work,
-            fates: scratch_fates,
             charged: scratch_charged,
             pool,
         });
@@ -581,14 +585,16 @@ impl<'g, P: Protocol, T: Topology> Network<'g, P, T> {
     }
 
     /// Runs one phase over the listed nodes (strictly ascending by node
-    /// id): the parallel compute phase followed by the commit fold —
-    /// sharded across the worker pool on busy clean rounds, sequential
-    /// otherwise, with bit-identical results either way.
+    /// id): the parallel compute phase, the commit fold — sharded across
+    /// the worker pool on busy rounds without an adversary, sequential
+    /// otherwise, with bit-identical results either way — and, when an
+    /// observer is attached, the observation walk over what the fold
+    /// committed.
     ///
     /// `active` and `delivered` describe this round's delivery (the full
     /// activated set with inbox lengths, and the delivered message
-    /// count); they are consumed only by the telemetry emission, which
-    /// runs once per *successfully* committed round, after the fold.
+    /// count); they are consumed only by the collector, which is fed once
+    /// per *successfully* committed round.
     fn run_phase(
         &mut self,
         work: &[NodeId],
@@ -602,11 +608,10 @@ impl<'g, P: Protocol, T: Topology> Network<'g, P, T> {
 
         // --- Compute phase: per-node, no shared mutation. ---
         {
-            let Network { graph, nodes, effects, mail, config, round, pool, .. } = self;
+            let Network { graph, nodes, effects, mail, round, pool, .. } = self;
             let graph: &T = graph;
             let n = graph.node_count();
             let round = *round;
-            let sample_memory = config.memory_sample_interval > 0;
 
             let run_job = |job: &mut Job<'_, P>| {
                 job.fx.reset();
@@ -618,8 +623,7 @@ impl<'g, P: Protocol, T: Topology> Network<'g, P, T> {
                         CallKind::Round => job.node.round(&mut ctx, job.inbox.clone()),
                     }
                 }
-                let memory = sample_memory.then(|| job.node.memory_words());
-                job.fx.seal(memory);
+                job.fx.seal(job.node.memory_words());
             };
             let fx_pool = &mut effects[..work.len()];
             match pool {
@@ -635,78 +639,140 @@ impl<'g, P: Protocol, T: Topology> Network<'g, P, T> {
         }
 
         // --- Commit fold: ascending node id. The pre-fold totals let
-        // the telemetry emission report this round's deltas. ---
-        let (pre_messages, pre_words) = (self.metrics.messages, self.metrics.words);
-        self.obs_fates = [0; 3];
+        // the collector report this round's deltas. ---
+        let pre = (self.metrics.messages, self.metrics.words);
         let shards = self.commit_shard_count(work.len());
-        if !(shards > 0 && self.try_commit_sharded(work, shards)) {
-            self.commit_sequential(work)?;
+        let folded = if shards > 0 && self.try_commit_sharded(work, shards) {
+            Ok(())
+        } else {
+            self.commit_sequential(work)
+        };
+        if self.trace.is_enabled() || self.machines.is_some() || self.obs.is_some() {
+            let committed = folded.as_ref().map_or_else(|&(i, _)| i, |()| work.len());
+            let closed = folded.is_ok();
+            self.observe_round(&work[..committed], closed, active, delivered, pre);
         }
-        // Close the machine layer's round: every executed phase (init is
-        // round 0) becomes one log entry, so the dilation accounting sees
-        // exactly the executed schedule (fast-forwarded quiescent rounds
-        // cost nothing).
-        if let Some(ml) = self.machines.as_mut() {
-            ml.end_round(self.round);
-        }
+        folded.map_err(|(_, e)| e)?;
         self.metrics.rounds = self.round;
-        if self.obs.is_some() {
-            self.emit_round_obs(work.len(), active, delivered, pre_messages, pre_words);
-        }
         Ok(())
     }
 
-    /// Emits this committed round's [`dhc_obs::RoundObs`] to the
-    /// attached collector. Runs strictly after the fold (and after the
-    /// machine layer closed its round), on the caller's thread, reading
-    /// engine state without mutating any of it — the collector observes
-    /// the exact committed round and provably cannot perturb it.
+    /// The observation walk: one pass over the effects of `committed` —
+    /// the prefix of the round's work list the fold committed — after the
+    /// fold, on the caller's thread. Per node it pushes the `Sent` events,
+    /// each followed by the fate event of a dropped, duplicated or delayed
+    /// copy, then the `WakeScheduled` or `Halted` event; charges the
+    /// k-machine layer (a clean broadcast crosses each link once, an
+    /// adversarial copy is charged per copy); and counts what the
+    /// collector reads. When the whole round committed (`closed`), it
+    /// then closes the machine layer's round — every executed phase,
+    /// init included, becomes one log entry, so the dilation accounting
+    /// sees exactly the executed schedule — and emits the round's
+    /// [`dhc_obs::RoundObs`].
     ///
-    /// The per-op counts, compute charges, halts and wake-ups come from
-    /// one walk over the executed nodes' effects: the fold drains only
-    /// the payloads, leaving the word lists (one entry per op) and the
-    /// scalar fields in place until the next compute phase resets them.
-    fn emit_round_obs(
+    /// The walk reads effects the fold leaves in place and redraws fates
+    /// with the pure [`Adversary::fate`](crate::Adversary::fate), so it
+    /// cannot perturb the round and carries no state across nodes.
+    fn observe_round(
         &mut self,
-        executed: usize,
+        committed: &[NodeId],
+        closed: bool,
         active: &[(NodeId, usize)],
         delivered: u64,
-        pre_messages: u64,
-        pre_words: u64,
+        (pre_messages, pre_words): (u64, u64),
     ) {
-        let Some(obs) = self.obs.clone() else { return };
+        let Network {
+            graph,
+            effects,
+            trace,
+            machines,
+            adversary,
+            obs,
+            obs_compute,
+            obs_crash,
+            metrics,
+            ..
+        } = self;
+        let round = self.round;
+        let adv = adversary.as_ref().map(|st| &st.adv);
+        // Per-delivery work serves only the trace, the machine layer and
+        // the fate counts.
+        let per_delivery = trace.is_enabled() || machines.is_some() || adv.is_some();
         let (mut unicast_ops, mut broadcast_ops, mut wakes_scheduled, mut halts) = (0, 0, 0, 0);
-        self.obs_compute.clear();
-        for fx in &self.effects[..executed] {
-            unicast_ops += fx.send_words.len() as u64;
-            broadcast_ops += fx.bcast_words.len() as u64;
-            self.obs_compute.push(fx.compute);
+        // Realized `[dropped, duplicated, delayed]` copies.
+        let mut fates = [0u64; 3];
+        obs_compute.clear();
+        for (&v, fx) in committed.iter().zip(effects.iter()) {
+            unicast_ops += fx.sends.len() as u64;
+            broadcast_ops += fx.bcasts.len() as u64;
+            obs_compute.push(fx.compute);
+            let nbrs = graph.neighbors(v);
+            if per_delivery {
+                for op in fx.ops() {
+                    let clean_bcast = match op.dest {
+                        Dest::Neighbors { skip } if adv.is_none() => Some(skip),
+                        _ => None,
+                    };
+                    if let (Some(skip), Some(ml)) = (clean_bcast, machines.as_mut()) {
+                        ml.broadcast(v, nbrs, skip, op.words);
+                    }
+                    op.for_each_dest(nbrs, |to| {
+                        trace.push(TraceEvent::Sent { round, from: v, to, words: op.words });
+                        let fate = adv.map_or(Fate::Deliver, |a| a.fate(round, v, op.seq, to));
+                        if let (None, Some(ml)) = (clean_bcast, machines.as_mut()) {
+                            for _ in 0..1 + usize::from(fate == Fate::Duplicate) {
+                                ml.unicast(v, to, op.words);
+                            }
+                        }
+                        let (slot, ev) = match fate {
+                            Fate::Deliver => return,
+                            Fate::Drop => (0, TraceEvent::Dropped { round, from: v, to }),
+                            Fate::Duplicate => (1, TraceEvent::Duplicated { round, from: v, to }),
+                            Fate::Delay(d) => {
+                                let until = round + 1 + d;
+                                (2, TraceEvent::Delayed { round, from: v, to, until })
+                            }
+                        };
+                        fates[slot] += 1;
+                        trace.push(ev);
+                    });
+                }
+            }
             if fx.halted {
                 halts += 1;
-            } else if fx.wake.is_some() {
+                trace.push(TraceEvent::Halted { round, node: v });
+            } else if let Some(target) = fx.wake {
                 wakes_scheduled += 1;
+                trace.push(TraceEvent::WakeScheduled { round, node: v, target });
             }
         }
+        if !closed {
+            return;
+        }
+        if let Some(ml) = machines.as_mut() {
+            ml.end_round(round);
+        }
+        let Some(obs) = obs.as_ref() else { return };
         let ev = dhc_obs::RoundObs {
-            round: self.round,
-            executed,
+            round,
+            executed: committed.len(),
             delivered,
             inbox: active,
-            compute: &self.obs_compute,
+            compute: obs_compute,
             unicast_ops,
             broadcast_ops,
-            messages: self.metrics.messages - pre_messages,
-            words: self.metrics.words - pre_words,
+            messages: metrics.messages - pre_messages,
+            words: metrics.words - pre_words,
             wakes_scheduled,
             halts,
             faults: dhc_obs::FaultObs {
-                dropped: self.obs_fates[0],
-                duplicated: self.obs_fates[1],
-                delayed: self.obs_fates[2],
-                crashes: self.obs_crash[0],
-                restarts: self.obs_crash[1],
+                dropped: fates[0],
+                duplicated: fates[1],
+                delayed: fates[2],
+                crashes: obs_crash[0],
+                restarts: obs_crash[1],
             },
-            machine_links: self.machines.as_ref().map_or(&[], MachineLayer::last_round_links),
+            machine_links: machines.as_ref().map_or(&[], MachineLayer::last_round_links),
         };
         obs.with(|c| c.on_round(&ev));
     }
@@ -714,154 +780,91 @@ impl<'g, P: Protocol, T: Topology> Network<'g, P, T> {
     /// The reference commit fold: one pass over the effects in ascending
     /// node-id order, applying everything directly to shared state. The
     /// sharded fold is pinned bit-for-bit against this path; every
-    /// traced, k-machine or adversarial round runs here, and so does
-    /// every faulting round, so partial-commit error semantics come from
-    /// exactly one place.
-    fn commit_sequential(&mut self, work: &[NodeId]) -> Result<(), SimError> {
-        let graph = self.graph;
-        let adversarial = self.adversary.is_some();
+    /// adversarial round runs here, and so does every faulting round, so
+    /// partial-commit error semantics come from exactly one place. On a
+    /// fault, returns the work index of the faulting node with its error:
+    /// every node before it is fully committed.
+    fn commit_sequential(&mut self, work: &[NodeId]) -> Result<(), (usize, SimError)> {
         for (i, &v) in work.iter().enumerate() {
-            if adversarial {
-                // The fault-influenced commit lives in its own fold so the
-                // clean path below stays exactly the pre-adversary engine.
-                self.commit_adversarial(i, v)?;
-                continue;
-            }
             let fx = &mut self.effects[i];
             if let Some(err) = fx.fault.take() {
-                return Err(err);
+                return Err((i, err));
             }
-            let nbrs = graph.neighbors(v);
             self.metrics.compute_per_node[(v) as usize] += fx.compute;
-            if let Some(mem) = fx.memory {
-                if mem > self.metrics.peak_memory_per_node[(v) as usize] {
-                    self.metrics.peak_memory_per_node[(v) as usize] = mem;
-                }
-            }
-            // Per-directed-edge accounting: every broadcast still counts
-            // one message per addressed neighbor — only the payload
-            // materialization is shared.
-            let total_sends = parcommit::total_sends(fx, nbrs.len());
-            if total_sends > self.metrics.max_node_sends_per_round {
-                self.metrics.max_node_sends_per_round = total_sends;
-            }
-            // Bandwidth check: words per destination from this sender —
-            // the same walk the sharded fold's plan pass runs, so the two
-            // paths cannot drift.
-            if let Err((to, words)) = parcommit::check_bandwidth(
-                fx,
-                nbrs,
-                self.config.bandwidth_words,
-                &mut self.metrics.max_edge_words,
-            ) {
-                return Err(SimError::BandwidthExceeded {
+            let peak = &mut self.metrics.peak_memory_per_node[(v) as usize];
+            *peak = (*peak).max(fx.memory);
+            // The fault-influenced routing lives apart so the clean path
+            // stays exactly the pre-adversary engine.
+            let routed = if self.adversary.is_some() {
+                self.route_adversarial(i, v)
+            } else {
+                self.route_clean(i, v)
+            };
+            if let Err((to, words)) = routed {
+                let err = SimError::BandwidthExceeded {
                     from: v,
                     to,
                     round: self.round,
                     attempted_words: words,
                     budget_words: self.config.bandwidth_words,
-                });
-            }
-            // Route sends and broadcasts into the next round's mailboxes,
-            // merged back into call order by op sequence so trace events
-            // and per-receiver delivery order match the unicast expansion.
-            let mut uni = fx.sends.drain(..).zip(fx.send_words.iter().copied()).peekable();
-            let mut bc = fx.bcasts.drain(..).zip(fx.bcast_words.iter().copied()).peekable();
-            loop {
-                let take_uni = match (uni.peek(), bc.peek()) {
-                    (Some(&((useq, _, _), _)), Some(&((bseq, _, _), _))) => useq < bseq,
-                    (Some(_), None) => true,
-                    (None, Some(_)) => false,
-                    (None, None) => break,
                 };
-                if take_uni {
-                    let ((seq, to, msg), words) = uni.next().expect("peeked");
-                    self.metrics.words += words as u64;
-                    self.metrics.messages += 1;
-                    self.metrics.sent_per_node[(v) as usize] += 1;
-                    if self.trace.is_enabled() {
-                        self.trace.push(TraceEvent::Sent { round: self.round, from: v, to, words });
-                    }
-                    if let Some(ml) = self.machines.as_mut() {
-                        ml.unicast(v, to, words);
-                    }
-                    self.mail.stage(v, seq, to, msg);
-                } else {
-                    let ((seq, skip, msg), words) = bc.next().expect("peeked");
-                    let count = nbrs.len() - usize::from(skip.is_some());
-                    if count == 0 {
-                        // A skip-one broadcast from a degree-1 node
-                        // addresses nobody: nothing to stage or charge.
-                        continue;
-                    }
-                    self.metrics.words += words as u64 * count as u64;
-                    self.metrics.messages += count as u64;
-                    self.metrics.sent_per_node[(v) as usize] += count as u64;
-                    if self.trace.is_enabled() {
-                        for &to in nbrs {
-                            if Some(to) != skip {
-                                self.trace.push(TraceEvent::Sent {
-                                    round: self.round,
-                                    from: v,
-                                    to,
-                                    words,
-                                });
-                            }
-                        }
-                    }
-                    // One payload copy into the arena; every addressed
-                    // neighbor is activated with a counter bump. The
-                    // machine layer likewise charges the payload once per
-                    // receiving *machine*, not per receiving node.
-                    self.mail.stage_broadcast(v, seq, skip, msg);
-                    if let Some(ml) = self.machines.as_mut() {
-                        ml.begin_broadcast(v, words);
-                    }
-                    for &to in nbrs {
-                        if Some(to) != skip {
-                            self.mail.deliver(to);
-                            if let Some(ml) = self.machines.as_mut() {
-                                ml.broadcast_dest(to);
-                            }
-                        }
-                    }
-                }
+                return Err((i, err));
             }
-            if let Some(target) = fx.wake {
-                if !fx.halted {
-                    self.wakes.push(Reverse((target, v)));
-                    if self.trace.is_enabled() {
-                        self.trace.push(TraceEvent::WakeScheduled {
-                            round: self.round,
-                            node: v,
-                            target,
-                        });
-                    }
-                }
+            let fx = &self.effects[i];
+            if let Some(target) = fx.wake.filter(|_| !fx.halted) {
+                self.wakes.push(Reverse((target, v)));
             }
             if fx.halted && !self.halted[(v) as usize] {
                 self.halted[(v) as usize] = true;
                 self.halted_count += 1;
-                if self.trace.is_enabled() {
-                    self.trace.push(TraceEvent::Halted { round: self.round, node: v });
+            }
+        }
+        Ok(())
+    }
+
+    /// Checks and routes the ops of work entry `i` (node `v`) on a round
+    /// without an adversary, returning the first over-budget
+    /// `(destination, words)`.
+    fn route_clean(&mut self, i: usize, v: NodeId) -> Result<(), (NodeId, usize)> {
+        let Network { graph, effects, mail, metrics, config, .. } = self;
+        let (fx, nbrs) = (&effects[i], graph.neighbors(v));
+        // Per-directed-edge accounting: every broadcast still counts one
+        // message per addressed neighbor — only the payload
+        // materialization is shared.
+        let (sends, words) = parcommit::send_totals(fx, nbrs.len());
+        metrics.max_node_sends_per_round = metrics.max_node_sends_per_round.max(sends);
+        // Bandwidth check: words per destination from this sender — the
+        // same walk the sharded fold's plan pass runs, so the two paths
+        // cannot drift.
+        parcommit::check_bandwidth(fx, nbrs, config.bandwidth_words, &mut metrics.max_edge_words)?;
+        metrics.messages += sends as u64;
+        metrics.words += words as u64;
+        metrics.sent_per_node[(v) as usize] += sends as u64;
+        // Route sends and broadcasts into the next round's mailboxes in
+        // call order, so per-receiver delivery order matches the unicast
+        // expansion.
+        for op in fx.ops() {
+            match op.dest {
+                Dest::Node(to) => mail.stage(v, op.seq, to, op.msg.clone()),
+                // One payload copy into the arena; every addressed
+                // neighbor is activated with a counter bump.
+                Dest::Neighbors { skip } if parcommit::addresses_anyone(skip, nbrs) => {
+                    mail.stage_broadcast(v, op.seq, skip, op.msg.clone());
+                    op.for_each_dest(nbrs, |to| mail.deliver(to));
                 }
+                Dest::Neighbors { .. } => {}
             }
         }
         Ok(())
     }
 
     /// Shard count for this round's commit fold: `0` means "run the
-    /// sequential fold". Only clean rounds shard: a trace, a k-machine
-    /// layer or an active adversary always means `0`. Otherwise a forced
-    /// [`Config::commit_shards`] always shards (clamped to the active
-    /// count); auto mode shards only when a pool exists and the round is
-    /// busy enough to amortize the merge.
+    /// sequential fold", which an empty round or an active adversary
+    /// always does. Otherwise a forced [`Config::commit_shards`] always
+    /// shards (clamped to the active count); auto mode shards only when a
+    /// pool exists and the round is busy enough to amortize the merge.
     fn commit_shard_count(&self, work_len: usize) -> usize {
-        if work_len == 0
-            || self.trace.is_enabled()
-            || self.machines.is_some()
-            || self.adversary.is_some()
-        {
+        if work_len == 0 || self.adversary.is_some() {
             return 0;
         }
         if self.config.commit_shards != 0 {
@@ -874,7 +877,7 @@ impl<'g, P: Protocol, T: Topology> Network<'g, P, T> {
     }
 
     /// Attempts the sharded commit fold (see [`crate::parcommit`]) on a
-    /// clean round — no trace, machine layer or adversary, which
+    /// round without an active adversary, which
     /// [`commit_shard_count`](Self::commit_shard_count) guarantees.
     /// Returns `false` — with **no** engine state mutated — when the
     /// plan pass finds a protocol fault or bandwidth violation; the
@@ -907,59 +910,34 @@ impl<'g, P: Protocol, T: Topology> Network<'g, P, T> {
         // list plus disjoint windows of the per-node arrays, split at
         // the shard's node-id bounds.
         let chunk = work.len().div_ceil(shards);
-        let mut runs: Vec<SenderRun<'_, 'g, P::Msg>> = Vec::with_capacity(shards);
-        {
-            let mut work_rest = work;
-            let mut fx_rest = &mut effects[..work.len()];
-            let mut nbrs_rest = &scratch_nbrs[..];
-            let mut sent_rest = &mut metrics.sent_per_node[..];
-            let mut comp_rest = &mut metrics.compute_per_node[..];
-            let mut mem_rest = &mut metrics.peak_memory_per_node[..];
-            let mut halt_rest = &mut halted[..];
-            let mut outs_rest = &mut commit.outs[..shards];
-            let mut buckets_rest = &mut commit.buckets[..shards * shards];
-            // First node id not yet covered by a carved window.
-            let mut consumed = 0;
-            let mut base_idx = 0;
-            for _ in 0..shards {
-                let take = chunk.min(work_rest.len());
-                let (w, rest) = work_rest.split_at(take);
-                work_rest = rest;
-                let (fx, rest) = fx_rest.split_at_mut(take);
-                fx_rest = rest;
-                let (nb, rest) = nbrs_rest.split_at(take);
-                nbrs_rest = rest;
-                let next = work_rest.first().map_or(n, |&v| (v) as usize);
+        let mut sent = &mut metrics.sent_per_node[..];
+        let mut compute = &mut metrics.compute_per_node[..];
+        let mut peak = &mut metrics.peak_memory_per_node[..];
+        let mut halt = &mut halted[..];
+        let mut outs = commit.outs[..shards].iter_mut();
+        let mut buckets = commit.buckets[..shards * shards].chunks_mut(shards);
+        // First node id not yet covered by a carved window.
+        let mut consumed = 0;
+        let mut runs: Vec<SenderRun<'_, 'g, P::Msg>> = (0..shards)
+            .map(|s| {
+                let (lo, hi) = ((s * chunk).min(work.len()), ((s + 1) * chunk).min(work.len()));
+                let next = work.get(hi).map_or(n, |&v| (v) as usize);
                 let width = next - consumed;
-                let (sent, rest) = sent_rest.split_at_mut(width);
-                sent_rest = rest;
-                let (comp, rest) = comp_rest.split_at_mut(width);
-                comp_rest = rest;
-                let (mem, rest) = mem_rest.split_at_mut(width);
-                mem_rest = rest;
-                let (halt, rest) = halt_rest.split_at_mut(width);
-                halt_rest = rest;
-                let (out, rest) = outs_rest.split_first_mut().expect("outs sized to shards");
-                outs_rest = rest;
-                let (bk, rest) = buckets_rest.split_at_mut(shards);
-                buckets_rest = rest;
-                runs.push(SenderRun {
-                    base_idx,
-                    work: w,
-                    effects: fx,
-                    nbrs: nb,
-                    node_base: consumed,
-                    sent,
-                    compute: comp,
-                    peak_mem: mem,
-                    halted: halt,
-                    out,
-                    buckets: bk,
-                });
-                base_idx += take;
-                consumed = next;
-            }
-        }
+                SenderRun {
+                    base_idx: lo,
+                    work: &work[lo..hi],
+                    effects: &effects[lo..hi],
+                    nbrs: &scratch_nbrs[lo..hi],
+                    node_base: std::mem::replace(&mut consumed, next),
+                    sent: split_off(&mut sent, width),
+                    compute: split_off(&mut compute, width),
+                    peak_mem: split_off(&mut peak, width),
+                    halted: split_off(&mut halt, width),
+                    out: outs.next().expect("outs sized to shards"),
+                    buckets: buckets.next().expect("bucket rows sized to shards"),
+                }
+            })
+            .collect();
 
         // --- Plan pass: read-only validation + max-metric accumulation. ---
         dispatch(pool.as_ref(), &mut runs, |r| r.plan(budget));
@@ -1012,170 +990,68 @@ impl<'g, P: Protocol, T: Topology> Network<'g, P, T> {
         true
     }
 
-    /// Commits one node's effects under an **active adversary**: the
-    /// fault-influenced twin of the clean fold in
-    /// [`commit_sequential`](Self::commit_sequential).
+    /// Checks and routes the ops of work entry `i` (node `v`) under an
+    /// **active adversary**: the fault-influenced twin of
+    /// [`route_clean`](Self::route_clean).
     ///
-    /// Two passes, both sequential. Pass 1 draws the [`Fate`] of every
-    /// delivery — broadcasts expanded over their addressed neighbors in
-    /// ascending order, unicasts and broadcasts merged by op sequence —
-    /// and checks the per-edge budgets with duplicates charged twice
-    /// (a duplicated copy is extra traffic on the edge, so it can push a
-    /// protocol that saturates its budget over the limit; the violation
-    /// surfaces as the ordinary [`SimError::BandwidthExceeded`], never a
-    /// silent queue). Pass 2 routes: delivered copies are staged as
+    /// Every delivery — broadcasts expanded over their addressed
+    /// neighbors in ascending order, ops in call order — meets the
+    /// [`Fate`] drawn by the pure
+    /// [`Adversary::fate`](crate::Adversary::fate). The first pass checks
+    /// the per-edge budgets with duplicates charged twice (a duplicated
+    /// copy is extra traffic on the edge, so it can push a protocol that
+    /// saturates its budget over the limit; the violation surfaces as the
+    /// ordinary [`SimError::BandwidthExceeded`], never a silent queue),
+    /// updating the maxima exactly as the clean check does. The second
+    /// pass redraws each fate and routes: delivered copies are staged as
     /// usual, dropped ones are charged to the sender but never staged,
     /// duplicated ones are staged twice, and delayed ones are parked in
-    /// the mailbox delay queue until their due round. The realized
-    /// non-deliver fates `[dropped, duplicated, delayed]` are tallied
-    /// for the round's telemetry event (pure counting — it influences
-    /// nothing).
+    /// the mailbox delay queue until their due round.
     ///
     /// Broadcasts are committed as **per-destination direct messages**
     /// (each copy can meet a different fate), so the broadcast arena is
-    /// never used under an active adversary; the k-machine layer
-    /// likewise sees the per-edge unicast expansion.
-    fn commit_adversarial(&mut self, i: usize, v: NodeId) -> Result<(), SimError> {
+    /// never used under an active adversary; the observation walk likewise
+    /// charges the k-machine layer the per-edge unicast expansion.
+    fn route_adversarial(&mut self, i: usize, v: NodeId) -> Result<(), (NodeId, usize)> {
+        let Network { graph, effects, mail, metrics, adversary, config, scratch_charged, .. } =
+            self;
         let round = self.round;
-        let budget = self.config.bandwidth_words;
-        let Network {
-            graph,
-            effects,
-            mail,
-            metrics,
-            trace,
-            machines,
-            adversary,
-            wakes,
-            halted,
-            halted_count,
-            scratch_fates,
-            scratch_charged,
-            obs_fates,
-            ..
-        } = self;
-        let st = adversary.as_mut().expect("adversarial commit without an adversary");
-        let fx = &mut effects[i];
-        if let Some(err) = fx.fault.take() {
-            return Err(err);
-        }
-        let nbrs = graph.neighbors(v);
-        metrics.compute_per_node[(v) as usize] += fx.compute;
-        if let Some(mem) = fx.memory {
-            if mem > metrics.peak_memory_per_node[(v) as usize] {
-                metrics.peak_memory_per_node[(v) as usize] = mem;
-            }
-        }
-
-        // --- Pass 1: draw fates (merged op order, broadcasts expanded
-        // over ascending addressed neighbors) and charge the edges. ---
-        scratch_fates.clear();
-        if let Err((to, words)) = plan_adversarial_node(
-            &st.adv,
-            round,
-            budget,
-            v,
-            fx,
-            nbrs,
-            scratch_fates,
-            scratch_charged,
-            &mut metrics.max_edge_words,
-            &mut metrics.max_node_sends_per_round,
-        ) {
-            return Err(SimError::BandwidthExceeded {
-                from: v,
-                to,
-                round,
-                attempted_words: words,
-                budget_words: budget,
+        let adv = &adversary.as_ref().expect("adversarial commit without an adversary").adv;
+        let (fx, nbrs) = (&effects[i], graph.neighbors(v));
+        scratch_charged.clear();
+        let mut attempts = 0;
+        for op in fx.ops() {
+            op.for_each_dest(nbrs, |to| {
+                let copies = 1 + usize::from(adv.fate(round, v, op.seq, to) == Fate::Duplicate);
+                scratch_charged.push((to, op.words * copies));
+                attempts += copies;
             });
         }
+        metrics.max_node_sends_per_round = metrics.max_node_sends_per_round.max(attempts);
+        scratch_charged.sort_unstable();
+        let budget = config.bandwidth_words;
+        parcommit::check_edge_loads(scratch_charged, budget, &mut metrics.max_edge_words)?;
 
-        // --- Pass 2: route each delivery by its fate: sender-side
-        // metrics and trace per delivery, then per-fate staging. ---
-        let trace_on = trace.is_enabled();
-        let mut fates = scratch_fates.iter().copied();
-        let mut uni = fx.sends.drain(..).zip(fx.send_words.iter().copied()).peekable();
-        let mut bc = fx.bcasts.drain(..).zip(fx.bcast_words.iter().copied()).peekable();
-        let mut commit_one = |to: NodeId, seq: u32, words: usize, msg: P::Msg| {
-            let fate = fates.next().expect("one planned fate per delivery");
-            match fate {
-                Fate::Deliver => {}
-                Fate::Drop => obs_fates[0] += 1,
-                Fate::Duplicate => obs_fates[1] += 1,
-                Fate::Delay(_) => obs_fates[2] += 1,
-            }
-            let copies: u64 = if fate == Fate::Duplicate { 2 } else { 1 };
-            metrics.words += words as u64 * copies;
-            metrics.messages += copies;
-            metrics.sent_per_node[(v) as usize] += copies;
-            if trace_on {
-                trace.push(TraceEvent::Sent { round, from: v, to, words });
+        for op in fx.ops() {
+            op.for_each_dest(nbrs, |to| {
+                let fate = adv.fate(round, v, op.seq, to);
+                let copies: u64 = if fate == Fate::Duplicate { 2 } else { 1 };
+                metrics.words += op.words as u64 * copies;
+                metrics.messages += copies;
+                metrics.sent_per_node[(v) as usize] += copies;
                 match fate {
-                    Fate::Deliver => {}
-                    Fate::Drop => trace.push(TraceEvent::Dropped { round, from: v, to }),
-                    Fate::Duplicate => trace.push(TraceEvent::Duplicated { round, from: v, to }),
+                    Fate::Deliver => mail.stage(v, op.seq, to, op.msg.clone()),
+                    // Charged to the sender, lost in transit.
+                    Fate::Drop => {}
+                    Fate::Duplicate => {
+                        mail.stage(v, op.seq, to, op.msg.clone());
+                        mail.stage(v, op.seq, to, op.msg.clone());
+                    }
                     Fate::Delay(d) => {
-                        trace.push(TraceEvent::Delayed {
-                            round,
-                            from: v,
-                            to,
-                            until: round + 1 + d,
-                        });
+                        mail.stage_delayed(round + 1 + d, v, op.seq, to, op.msg.clone())
                     }
                 }
-            }
-            if let Some(ml) = machines.as_mut() {
-                for _ in 0..copies {
-                    ml.unicast(v, to, words);
-                }
-            }
-            match fate {
-                Fate::Deliver => mail.stage(v, seq, to, msg),
-                // Charged to the sender, lost in transit.
-                Fate::Drop => {}
-                Fate::Duplicate => {
-                    mail.stage(v, seq, to, msg.clone());
-                    mail.stage(v, seq, to, msg);
-                }
-                Fate::Delay(d) => mail.stage_delayed(round + 1 + d, v, seq, to, msg),
-            }
-        };
-        loop {
-            let take_uni = match (uni.peek(), bc.peek()) {
-                (Some(&((useq, _, _), _)), Some(&((bseq, _, _), _))) => useq < bseq,
-                (Some(_), None) => true,
-                (None, Some(_)) => false,
-                (None, None) => break,
-            };
-            if take_uni {
-                let ((seq, to, msg), words) = uni.next().expect("peeked");
-                commit_one(to, seq, words, msg);
-            } else {
-                let ((seq, skip, msg), words) = bc.next().expect("peeked");
-                for &to in nbrs {
-                    if Some(to) != skip {
-                        commit_one(to, seq, words, msg.clone());
-                    }
-                }
-            }
-        }
-        debug_assert!(fates.next().is_none(), "fate scratch out of sync");
-
-        if let Some(target) = fx.wake {
-            if !fx.halted {
-                wakes.push(Reverse((target, v)));
-                if trace_on {
-                    trace.push(TraceEvent::WakeScheduled { round, node: v, target });
-                }
-            }
-        }
-        if fx.halted && !halted[(v) as usize] {
-            halted[(v) as usize] = true;
-            *halted_count += 1;
-            if trace_on {
-                trace.push(TraceEvent::Halted { round, node: v });
-            }
+            });
         }
         Ok(())
     }
@@ -1252,6 +1128,13 @@ fn carve_jobs<'a, P: Protocol, T: Topology>(
     }
 }
 
+/// Splits the first `k` items off `rest`, leaving it the remainder.
+fn split_off<'a, T>(rest: &mut &'a mut [T], k: usize) -> &'a mut [T] {
+    let (head, tail) = std::mem::take(rest).split_at_mut(k);
+    *rest = tail;
+    head
+}
+
 /// Runs `f` over every item — on the worker pool when one exists,
 /// inline otherwise. Both commit-fold passes and the compute phase go
 /// through here, so "no pool" provably means "no extra threads".
@@ -1266,87 +1149,6 @@ fn dispatch<I: Send, F: Fn(&mut I) + Sync>(pool: Option<&WorkerPool>, items: &mu
     }
 }
 
-/// Adversarial pass 1 for one node: draws the [`Fate`] of every
-/// delivery (merged op order, broadcasts expanded over ascending
-/// addressed neighbors) into `fates`, and checks the per-edge budgets
-/// with duplicates charged twice. Updates `max_sends` before and
-/// `max_edge` during the charge aggregation, so a violation leaves the
-/// same partial maxima the clean fold's walk would. Pure with respect
-/// to the engine: reads effects, writes only the caller's accumulators.
-#[allow(clippy::too_many_arguments)]
-fn plan_adversarial_node<M: crate::Payload>(
-    adv: &Adversary,
-    round: usize,
-    budget: usize,
-    v: NodeId,
-    fx: &Effects<M>,
-    nbrs: &[NodeId],
-    fates: &mut Vec<Fate>,
-    charged: &mut Vec<(NodeId, usize)>,
-    max_edge: &mut usize,
-    max_sends: &mut usize,
-) -> Result<(), (NodeId, usize)> {
-    charged.clear();
-    let mut attempts = 0usize;
-    let (mut ui, mut bi) = (0, 0);
-    loop {
-        let take_uni = match (fx.sends.get(ui), fx.bcasts.get(bi)) {
-            (Some(&(useq, _, _)), Some(&(bseq, _, _))) => useq < bseq,
-            (Some(_), None) => true,
-            (None, Some(_)) => false,
-            (None, None) => break,
-        };
-        if take_uni {
-            let (seq, to, _) = fx.sends[ui];
-            let words = fx.send_words[ui];
-            ui += 1;
-            let fate = adv.fate(round, v, seq, to);
-            let w = if fate == Fate::Duplicate { words * 2 } else { words };
-            fates.push(fate);
-            charged.push((to, w));
-            attempts += usize::from(fate == Fate::Duplicate) + 1;
-        } else {
-            let (seq, skip, _) = fx.bcasts[bi];
-            let words = fx.bcast_words[bi];
-            bi += 1;
-            for &to in nbrs {
-                if Some(to) == skip {
-                    continue;
-                }
-                let fate = adv.fate(round, v, seq, to);
-                let w = if fate == Fate::Duplicate { words * 2 } else { words };
-                fates.push(fate);
-                charged.push((to, w));
-                attempts += usize::from(fate == Fate::Duplicate) + 1;
-            }
-        }
-    }
-    if attempts > *max_sends {
-        *max_sends = attempts;
-    }
-    // Stable sort, then aggregate per destination ascending: same
-    // first-violation destination as the clean fold's walk.
-    charged.sort_by_key(|&(to, _)| to);
-    let mut a = 0;
-    while a < charged.len() {
-        let to = charged[a].0;
-        let mut words = 0usize;
-        let mut b = a;
-        while b < charged.len() && charged[b].0 == to {
-            words += charged[b].1;
-            b += 1;
-        }
-        if words > budget {
-            return Err((to, words));
-        }
-        if words > *max_edge {
-            *max_edge = words;
-        }
-        a = b;
-    }
-    Ok(())
-}
-
 /// Which protocol callback [`Network::run_phase`] should run.
 #[derive(Clone, Copy, Debug)]
 enum CallKind {
@@ -1357,6 +1159,7 @@ enum CallKind {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::machine::MachineRound;
     use crate::Payload;
 
     #[derive(Clone, Debug)]
@@ -1932,23 +1735,41 @@ mod tests {
     }
 
     #[test]
-    fn forced_shards_apply_only_to_clean_rounds() {
+    fn forced_shards_apply_to_every_non_adversarial_round() {
         let g = dhc_graph::generator::grid(4, 4);
         let forced = || Config::default().with_commit_shards(3);
         let clean = Network::new(&g, forced(), flood_nodes(16)).unwrap();
-        assert!(clean.commit_shard_count(16) > 0);
-        // A collector is fed after the fold, so it keeps the round sharded.
-        let (observed, _) = observed_cfg(forced());
-        let observed = Network::new(&g, observed, flood_nodes(16)).unwrap();
-        assert!(observed.commit_shard_count(16) > 0);
+        assert_eq!(clean.commit_shard_count(16), 3);
+        assert_eq!(clean.commit_shard_count(0), 0, "empty round sharded");
+        // Trace, k-machine layer and collector are fed after the fold,
+        // so none of them holds a round back from sharding.
         let traced = Network::new(&g, forced().with_trace_capacity(100), flood_nodes(16)).unwrap();
-        assert_eq!(traced.commit_shard_count(16), 0, "traced round sharded");
+        assert_eq!(traced.commit_shard_count(16), 3, "traced round not sharded");
         let machines = MachineMap::new((0..16).map(|v| v % 4).collect(), 4);
         let layered = Network::new_with_machines(&g, forced(), flood_nodes(16), machines).unwrap();
-        assert_eq!(layered.commit_shard_count(16), 0, "k-machine round sharded");
+        assert_eq!(layered.commit_shard_count(16), 3, "k-machine round not sharded");
+        let (observed, _) = observed_cfg(forced());
+        let observed = Network::new(&g, observed, flood_nodes(16)).unwrap();
+        assert_eq!(observed.commit_shard_count(16), 3, "collector round not sharded");
+        // Fate draws keep adversarial rounds on the sequential fold.
         let adv = crate::Adversary::seeded(1).with_drop_ppm(1);
         let faulty = Network::new(&g, forced().with_adversary(adv), flood_nodes(16)).unwrap();
         assert_eq!(faulty.commit_shard_count(16), 0, "adversarial round sharded");
+    }
+
+    #[test]
+    fn unbounded_delay_is_a_typed_error() {
+        // The public fields bypass `with_delay`'s check; construction must
+        // refuse the value instead of dividing by zero in a fate draw.
+        let g = dhc_graph::generator::path_graph(2);
+        let adv = crate::Adversary { delay_ppm: 5, ..crate::Adversary::seeded(1) };
+        assert_eq!(adv.max_delay, 0);
+        let err =
+            Network::new(&g, Config::default().with_adversary(adv), recorders(2)).unwrap_err();
+        assert_eq!(err, SimError::InvalidAdversary { delay_ppm: 5 });
+        // A zero-probability delay needs no bound.
+        let adv = crate::Adversary { drop_ppm: 5, ..crate::Adversary::seeded(1) };
+        assert!(Network::new(&g, Config::default().with_adversary(adv), recorders(2)).is_ok());
     }
 
     /// Node `v` sleeps for `v + 1` rounds, then halts when woken.
@@ -2124,5 +1945,148 @@ mod tests {
         assert_eq!(c.crashes, 1);
         assert_eq!(c.restarts, 1);
         assert!(obs.machine_link_hist().count() > 0, "machine layer produced no link loads");
+    }
+
+    /// What the observers recorded in one run: the outcome, the exact
+    /// trace, and the k-machine log field by field — rounds, `[intra
+    /// words, cross transfers]`, per-machine sent and received words.
+    type Observation =
+        (Result<(), SimError>, Vec<TraceEvent>, Vec<MachineRound>, [u64; 2], Vec<u64>, Vec<u64>);
+
+    fn observe<P: Protocol>(g: &Graph, cfg: Config, nodes: Vec<P>, map: Vec<usize>) -> Observation {
+        let k = map.iter().max().map_or(1, |&m| m + 1);
+        let mut net = Network::new_with_machines(g, cfg, nodes, MachineMap::new(map, k)).unwrap();
+        let outcome = net.run();
+        let trace = net.trace().events();
+        let log = net.finish().0.machine_log.expect("machine layer attached");
+        let (m, volume) = (log.finalize(1), [log.intra_words(), log.cross_messages()]);
+        (outcome, trace, log.rounds().to_vec(), volume, m.machine_sent_words, m.machine_recv_words)
+    }
+
+    /// Scripted rounds: `script(node, round, ctx)` acts for every
+    /// activation, `init` included; every node starts with a wake-up.
+    struct Script(fn(NodeId, usize, &mut Context<'_, Token>));
+    impl Protocol for Script {
+        type Msg = Token;
+        fn init(&mut self, ctx: &mut Context<'_, Token>) {
+            (self.0)(ctx.node(), 0, ctx);
+        }
+        fn round(&mut self, ctx: &mut Context<'_, Token>, _: Inbox<'_, Token>) {
+            (self.0)(ctx.node(), ctx.round_number(), ctx);
+        }
+    }
+
+    fn scripts(n: usize, f: fn(NodeId, usize, &mut Context<'_, Token>)) -> Vec<Script> {
+        (0..n).map(|_| Script(f)).collect()
+    }
+
+    #[test]
+    fn observers_record_exactly_the_committed_rounds() {
+        use TraceEvent::{Delayed, Dropped, Duplicated, Halted, WakeScheduled, Woke};
+        let s = |round, from, to| TraceEvent::Sent { round, from, to, words: 1 };
+        let h = |round, node| Halted { round, node };
+        let w = |round, node, target| WakeScheduled { round, node, target };
+        let k = |round, node| Woke { round, node };
+        let mr = |round, links: &[(u32, u64)]| MachineRound { round, links: links.to_vec() };
+        for shards in [0, 2] {
+            let cfg = || Config::default().with_trace_capacity(100).with_commit_shards(shards);
+
+            // Node 0 interleaves a unicast, a broadcast and a skip-one
+            // broadcast, then sleeps to round 3; node 2 answers with a
+            // unicast and a broadcast; the rest halt when reached.
+            // Machines {0, 3} and {1, 2}.
+            let g = dhc_graph::generator::star(4);
+            let nodes = scripts(4, |v, r, ctx| match (v, r) {
+                (0, 0) => {
+                    ctx.send(1, Token(0));
+                    ctx.send_all(Token(1));
+                    ctx.send_all_except(2, Token(2));
+                    ctx.wake_in(3);
+                }
+                (0, 1..=2) | (_, 0) => {}
+                (2, 1) => {
+                    ctx.send(0, Token(3));
+                    ctx.send_all(Token(4));
+                    ctx.halt();
+                }
+                _ => ctx.halt(),
+            });
+            let got = observe(&g, cfg().with_bandwidth_words(4), nodes, vec![0, 1, 1, 0]);
+            let init = [s(0, 0, 1), s(0, 0, 1), s(0, 0, 2), s(0, 0, 3), s(0, 0, 1), s(0, 0, 3)];
+            let later = [h(1, 1), s(1, 2, 0), s(1, 2, 0), h(1, 2), h(1, 3), k(3, 0), h(3, 0)];
+            let trace = [&init[..], &[w(0, 0, 3)], &later].concat();
+            let rounds = vec![mr(0, &[(1, 3)]), mr(1, &[(2, 2)]), mr(2, &[]), mr(3, &[])];
+            let want = (Ok(()), trace, rounds, [2, 5], vec![3, 2], vec![2, 3]);
+            assert_eq!(got, want, "shards {shards}");
+
+            // Certain drop, duplicate and delay: node 1 sends a unicast
+            // and a broadcast in init; every node sleeps to round 4. The
+            // machine layer charges per copy. Machines {0} and {1, 2}.
+            let g = dhc_graph::generator::path_graph(3);
+            let ppm = crate::adversary::PPM;
+            let adversaries = [
+                crate::Adversary::seeded(1).with_drop_ppm(ppm),
+                crate::Adversary::seeded(1).with_duplicate_ppm(ppm),
+                crate::Adversary::seeded(1).with_delay(ppm, 1),
+            ];
+            for (i, adv) in adversaries.into_iter().enumerate() {
+                let nodes = scripts(3, |v, r, ctx| match (v, r) {
+                    (_, 4) => ctx.halt(),
+                    (1, 0) => {
+                        ctx.send(0, Token(0));
+                        ctx.send_all(Token(1));
+                        ctx.wake_in(4);
+                    }
+                    (_, 0) => ctx.wake_in(4),
+                    _ => {}
+                });
+                let cfg = cfg().with_bandwidth_words(4).with_adversary(adv);
+                let got = observe(&g, cfg, nodes, vec![0, 1, 1]);
+                let f = |to| match i {
+                    0 => Dropped { round: 0, from: 1, to },
+                    1 => Duplicated { round: 0, from: 1, to },
+                    _ => Delayed { round: 0, from: 1, to, until: 2 },
+                };
+                let mut trace = vec![w(0, 0, 4), s(0, 1, 0), f(0), s(0, 1, 0), f(0), s(0, 1, 2)];
+                trace.extend([f(2), w(0, 1, 4), w(0, 2, 4)]);
+                trace.extend((0..3).map(|v| k(4, v)).chain((0..3).map(|v| h(4, v))));
+                let c = if i == 1 { 2 } else { 1 };
+                let mid = [vec![], vec![mr(1, &[])], vec![mr(2, &[])]][i].clone();
+                let rounds = [vec![mr(0, &[(2, 2 * c)])], mid, vec![mr(4, &[])]].concat();
+                let want = (Ok(()), trace, rounds, [c, 2 * c], vec![0, 2 * c], vec![2 * c, 0]);
+                assert_eq!(got, want, "adversary {i}, shards {shards}");
+            }
+
+            // Every node wakes in round 1, where node 2 overdraws its edge
+            // mid-list: the observers hold exactly nodes 0 and 1's
+            // round-1 events, and the failed round is never closed in the
+            // machine log. Machines {0, 1} and {2, 3}.
+            let g = dhc_graph::generator::path_graph(4);
+            let nodes = scripts(4, |v, r, ctx| match (v, r) {
+                (_, 0) => ctx.wake_in(1),
+                (0, _) => {
+                    ctx.send(1, Token(0));
+                    ctx.halt();
+                }
+                (1, _) => {
+                    ctx.send_all(Token(1));
+                    ctx.stay_awake();
+                }
+                (2, _) => {
+                    ctx.send(1, Token(2));
+                    ctx.send(1, Token(3));
+                }
+                _ => ctx.send(2, Token(4)),
+            });
+            let got = observe(&g, cfg(), nodes, vec![0, 0, 1, 1]);
+            let mut trace: Vec<_> = (0..4).map(|v| w(0, v, 1)).collect();
+            trace.extend((0..4).map(|v| k(1, v)));
+            trace.extend([s(1, 0, 1), h(1, 0), s(1, 1, 0), s(1, 1, 2), w(1, 1, 2)]);
+            let (from, to, attempted_words, budget_words) = (2, 1, 2, 1);
+            let err =
+                SimError::BandwidthExceeded { from, to, round: 1, attempted_words, budget_words };
+            let want = (Err(err), trace, vec![mr(0, &[])], [2, 1], vec![1, 0], vec![0, 1]);
+            assert_eq!(got, want, "shards {shards}");
+        }
     }
 }

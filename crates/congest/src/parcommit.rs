@@ -1,11 +1,12 @@
 //! Per-shard sub-folds of the **parallel commit fold**.
 //!
 //! The engine's commit fold is semantically a strict left fold over the
-//! round's effects in ascending node-id order. On **clean rounds** — no
-//! trace, no k-machine layer, no active adversary; every other round
-//! takes the sequential fold — this module splits it into data-parallel
-//! passes whose deterministic ascending-shard merge reproduces the
-//! sequential fold bit-for-bit:
+//! round's effects in ascending node-id order. On every round without an
+//! active adversary — the adversarial fold draws fates and stays
+//! sequential — this module splits it into data-parallel passes whose
+//! deterministic ascending-shard merge reproduces the sequential fold
+//! bit-for-bit. Every observer is fed after either fold by the
+//! engine's observation walk, so none of them appears here:
 //!
 //! 1. **Plan** (parallel, read-only): each sender shard validates its
 //!    nodes — protocol faults and per-edge bandwidth — and accumulates
@@ -14,7 +15,7 @@
 //!    the exact partial-commit error semantics (all earlier nodes fully
 //!    committed, the faulty node's compute/memory charged, the typed
 //!    error returned at the first bad node in ascending order).
-//! 2. **Commit** (parallel, clean plans only): each sender shard drains
+//! 2. **Commit** (parallel, clean plans only): each sender shard copies
 //!    its effects into shard-local buffers — count metrics, broadcast
 //!    records, wake-ups, and per-destination-shard unicast buckets —
 //!    plus disjoint slices of the per-node metric arrays. The merge adds
@@ -26,7 +27,7 @@
 //!    broadcast counters of its resident neighbors, so every inbox is
 //!    byte-identical to the sequential staging.
 
-use crate::effects::Effects;
+use crate::effects::{Dest, Effects};
 use crate::mailbox::DestPart;
 use crate::{NodeId, Payload};
 
@@ -144,7 +145,7 @@ pub(crate) struct SenderRun<'run, 'g, M: Payload> {
     /// Global work index of `work[0]` (for `first_bad` reporting).
     pub(crate) base_idx: usize,
     pub(crate) work: &'run [NodeId],
-    pub(crate) effects: &'run mut [Effects<M>],
+    pub(crate) effects: &'run [Effects<M>],
     pub(crate) nbrs: &'run [&'g [NodeId]],
     /// First node id of this shard's metric windows.
     pub(crate) node_base: usize,
@@ -168,10 +169,8 @@ impl<M: Payload> SenderRun<'_, '_, M> {
                 return;
             }
             let nbrs = self.nbrs[j];
-            let total = total_sends(fx, nbrs.len());
-            if total > out.max_sends {
-                out.max_sends = total;
-            }
+            let (sends, _) = send_totals(fx, nbrs.len());
+            out.max_sends = out.max_sends.max(sends);
             if check_bandwidth(fx, nbrs, budget, &mut out.max_edge).is_err() {
                 out.first_bad = Some(self.base_idx + j);
                 return;
@@ -179,10 +178,11 @@ impl<M: Payload> SenderRun<'_, '_, M> {
         }
     }
 
-    /// Clean commit pass: drains the shard's effects into its local
-    /// buffers and metric windows. Only run after every shard's plan
-    /// came back clean. `dest_chunk` is the destination-shard width in
-    /// node ids (`⌈n / shards⌉`).
+    /// Clean commit pass: copies the shard's effects into its local
+    /// buffers and metric windows, leaving them in place for the
+    /// observation walk. Only run after every shard's plan came back
+    /// clean. `dest_chunk` is the destination-shard width in node ids
+    /// (`⌈n / shards⌉`).
     pub(crate) fn commit(&mut self, dest_chunk: usize) {
         let SenderRun {
             work,
@@ -199,43 +199,30 @@ impl<M: Payload> SenderRun<'_, '_, M> {
         } = self;
         let out = &mut **out;
         let node_base = *node_base;
-        for (j, (&v, fx)) in work.iter().zip(effects.iter_mut()).enumerate() {
+        for (j, (&v, fx)) in work.iter().zip(effects.iter()).enumerate() {
             debug_assert!(fx.fault.is_none(), "commit pass reached a faulted node");
             let nbrs = nbrs_all[j];
             let vi = v - (node_base) as u32;
             compute[(vi) as usize] += fx.compute;
-            if let Some(mem) = fx.memory {
-                if mem > peak_mem[(vi) as usize] {
-                    peak_mem[(vi) as usize] = mem;
-                }
+            if fx.memory > peak_mem[(vi) as usize] {
+                peak_mem[(vi) as usize] = fx.memory;
             }
-            // Route, merged back into call order by op sequence —
-            // exactly the sequential fold's walk, writing shard-local.
-            let mut uni = fx.sends.drain(..).zip(fx.send_words.iter().copied()).peekable();
-            let mut bc = fx.bcasts.drain(..).zip(fx.bcast_words.iter().copied()).peekable();
-            loop {
-                let take_uni = match (uni.peek(), bc.peek()) {
-                    (Some(&((useq, _, _), _)), Some(&((bseq, _, _), _))) => useq < bseq,
-                    (Some(_), None) => true,
-                    (None, Some(_)) => false,
-                    (None, None) => break,
-                };
-                if take_uni {
-                    let ((seq, to, msg), words) = uni.next().expect("peeked");
-                    out.words += words as u64;
-                    out.messages += 1;
-                    sent[(vi) as usize] += 1;
-                    buckets[(to / (dest_chunk) as u32) as usize].push((v, seq, to, msg));
-                } else {
-                    let ((seq, skip, msg), words) = bc.next().expect("peeked");
-                    let count = nbrs.len() - usize::from(skip.is_some());
-                    if count == 0 {
-                        continue;
+            let (sends, words) = send_totals(fx, nbrs.len());
+            out.messages += sends as u64;
+            out.words += words as u64;
+            sent[(vi) as usize] += sends as u64;
+            // Route in call order — exactly the sequential fold's walk,
+            // writing shard-local.
+            for op in fx.ops() {
+                match op.dest {
+                    Dest::Node(to) => {
+                        let bucket = &mut buckets[(to / (dest_chunk) as u32) as usize];
+                        bucket.push((v, op.seq, to, op.msg.clone()));
                     }
-                    out.words += words as u64 * count as u64;
-                    out.messages += count as u64;
-                    sent[(vi) as usize] += count as u64;
-                    out.bcasts.push((v, seq, skip, msg));
+                    Dest::Neighbors { skip } if addresses_anyone(skip, nbrs) => {
+                        out.bcasts.push((v, op.seq, skip, op.msg.clone()));
+                    }
+                    Dest::Neighbors { .. } => {}
                 }
             }
             if let Some(target) = fx.wake {
@@ -292,11 +279,22 @@ impl<M: Payload> DestRun<'_, '_, M> {
     }
 }
 
-/// Total directed sends of one node's effects (broadcasts expanded per
-/// addressed neighbor) — the `max_node_sends_per_round` contribution.
-pub(crate) fn total_sends<M: Payload>(fx: &Effects<M>, nbrs_len: usize) -> usize {
-    fx.sends.len()
-        + fx.bcasts.iter().map(|(_, skip, _)| nbrs_len - usize::from(skip.is_some())).sum::<usize>()
+/// Directed sends and words of one node's effects, broadcasts expanded
+/// per addressed neighbor: the node's `max_node_sends_per_round`
+/// contribution and its message and word totals. Every broadcast
+/// addresses all `degree` neighbors but its skip, if any.
+pub(crate) fn send_totals<M: Payload>(fx: &Effects<M>, degree: usize) -> (usize, usize) {
+    let skipped_words: usize = fx.skip_words.iter().map(|&(_, w)| w).sum();
+    let sends = fx.sends.len() + fx.bcasts.len() * degree - fx.skip_words.len();
+    let words = fx.send_words.iter().sum::<usize>() + fx.bcast_total_words * degree;
+    (sends, words - skipped_words)
+}
+
+/// Whether a broadcast skipping `skip` addresses any of `nbrs`: a
+/// skip-one broadcast from a degree-1 node addresses nobody, so there is
+/// nothing to stage.
+pub(crate) fn addresses_anyone(skip: Option<NodeId>, nbrs: &[NodeId]) -> bool {
+    nbrs.len() > usize::from(skip.is_some())
 }
 
 /// Per-destination bandwidth check for one clean sender, updating
@@ -314,24 +312,7 @@ pub(crate) fn check_bandwidth<M: Payload>(
 ) -> Result<(), (NodeId, usize)> {
     if fx.bcast_total_words == 0 {
         // Unicast-only: walk the sorted (destination, words) list.
-        let ew = &fx.edge_words;
-        let mut a = 0;
-        while a < ew.len() {
-            let to = ew[a].0;
-            let mut words = 0usize;
-            let mut b = a;
-            while b < ew.len() && ew[b].0 == to {
-                words += ew[b].1;
-                b += 1;
-            }
-            if words > budget {
-                return Err((to, words));
-            }
-            if words > *max_edge {
-                *max_edge = words;
-            }
-            a = b;
-        }
+        check_edge_loads(&fx.edge_words, budget, max_edge)?;
     } else if fx.edge_words.is_empty() && fx.skip_words.is_empty() {
         // Uniform broadcast load: every neighbor carries exactly the
         // broadcast base — one check instead of a per-neighbor walk
@@ -378,6 +359,26 @@ pub(crate) fn check_bandwidth<M: Payload>(
                 *max_edge = words;
             }
         }
+    }
+    Ok(())
+}
+
+/// Per-destination bandwidth check over `(destination, words)` charges
+/// sorted by destination: sums each destination's words, updating
+/// `max_edge` as it goes, and returns the first over-budget
+/// `(destination, words)`. Serves the clean unicast-only walk and the
+/// adversarial check, which charges duplicated copies twice.
+pub(crate) fn check_edge_loads(
+    charges: &[(NodeId, usize)],
+    budget: usize,
+    max_edge: &mut usize,
+) -> Result<(), (NodeId, usize)> {
+    for run in charges.chunk_by(|a, b| a.0 == b.0) {
+        let words = run.iter().map(|&(_, w)| w).sum();
+        if words > budget {
+            return Err((run[0].0, words));
+        }
+        *max_edge = (*max_edge).max(words);
     }
     Ok(())
 }

@@ -25,7 +25,6 @@
 //! message enum, so in practice a scratch chains the networks of one
 //! phase — the Phase 1 class runs, or DHC2's merge levels.
 
-use crate::adversary::Fate;
 use crate::effects::Effects;
 use crate::mailbox::Mailboxes;
 use crate::parcommit::CommitScratch;
@@ -41,38 +40,28 @@ use dhc_pool::WorkerPool;
 /// buffers, broadcast arena, effect and commit-shard scratch, and —
 /// when the thread counts match — its worker pool.
 pub struct EngineScratch<M: Payload> {
-    /// Recycled double-buffered mailboxes (per-node inbox vectors, the
-    /// broadcast arenas, ranges, counters, touch lists).
-    pub(crate) mail: Option<Mailboxes<M>>,
-    /// Recycled per-active-node effect scratch.
-    pub(crate) effects: Vec<Effects<M>>,
-    /// Recycled per-shard parallel-commit buffers.
-    pub(crate) commit: CommitScratch<M>,
-    /// Recycled per-round scheduling scratch (due wake-ups).
-    pub(crate) woken: Vec<NodeId>,
-    /// Recycled per-round scheduling scratch (merged active set).
-    pub(crate) active: Vec<(NodeId, usize)>,
-    /// Recycled per-round scheduling scratch (runnable list).
-    pub(crate) work: Vec<NodeId>,
-    /// Recycled adversarial-commit fate scratch.
-    pub(crate) fates: Vec<Fate>,
-    /// Recycled adversarial bandwidth-check scratch.
-    pub(crate) charged: Vec<(NodeId, usize)>,
-    /// Recycled persistent worker pool, with its parked threads.
-    pub(crate) pool: Option<WorkerPool>,
+    /// The last finished network's buffers; `None` while cold.
+    parts: Option<Parts<M>>,
 }
 
 /// The buffer set a [`Network`](crate::Network) is born with — taken
 /// from a warm [`EngineScratch`] or freshly allocated.
 pub(crate) struct Parts<M: Payload> {
+    /// Double-buffered mailboxes (per-node inbox vectors, the broadcast
+    /// arenas, ranges, counters, touch lists).
     pub(crate) mail: Mailboxes<M>,
+    /// Per-active-node effect scratch.
     pub(crate) effects: Vec<Effects<M>>,
+    /// Per-shard parallel-commit buffers.
     pub(crate) commit: CommitScratch<M>,
+    /// Per-round scheduling scratch: due wake-ups, merged active set,
+    /// runnable list.
     pub(crate) woken: Vec<NodeId>,
     pub(crate) active: Vec<(NodeId, usize)>,
     pub(crate) work: Vec<NodeId>,
-    pub(crate) fates: Vec<Fate>,
+    /// Adversarial bandwidth-check scratch.
     pub(crate) charged: Vec<(NodeId, usize)>,
+    /// Persistent worker pool, with its parked threads.
     pub(crate) pool: Option<WorkerPool>,
 }
 
@@ -86,7 +75,6 @@ impl<M: Payload> Parts<M> {
             woken: Vec::new(),
             active: Vec::new(),
             work: Vec::new(),
-            fates: Vec::new(),
             charged: Vec::new(),
             pool: (threads > 1).then(|| WorkerPool::new(threads)),
         }
@@ -97,23 +85,13 @@ impl<M: Payload> EngineScratch<M> {
     /// An empty (cold) scratch. The first network built from it
     /// allocates normally; every later one recycles.
     pub fn new() -> Self {
-        EngineScratch {
-            mail: None,
-            effects: Vec::new(),
-            commit: CommitScratch::new(),
-            woken: Vec::new(),
-            active: Vec::new(),
-            work: Vec::new(),
-            fates: Vec::new(),
-            charged: Vec::new(),
-            pool: None,
-        }
+        EngineScratch { parts: None }
     }
 
     /// Whether the scratch holds recycled buffers (i.e. at least one
     /// network has been finished into it).
     pub fn is_warm(&self) -> bool {
-        self.mail.is_some()
+        self.parts.is_some()
     }
 
     /// Takes the buffer set for a new `n`-node network running on
@@ -123,48 +101,24 @@ impl<M: Payload> EngineScratch<M> {
     /// needs no clearing here — the engine resets each entry before
     /// use.
     pub(crate) fn take_parts(&mut self, n: usize, threads: usize) -> Parts<M> {
-        let mut mail = match self.mail.take() {
-            Some(m) => m,
-            None => return Parts::fresh(n, threads),
-        };
-        mail.recycle(n);
-        let mut commit = std::mem::replace(&mut self.commit, CommitScratch::new());
-        commit.recycle();
-        let pool = match self.pool.take() {
+        let Some(mut parts) = self.parts.take() else { return Parts::fresh(n, threads) };
+        parts.mail.recycle(n);
+        parts.commit.recycle();
+        parts.pool = match parts.pool.take() {
             Some(p) if threads > 1 && p.workers() == threads => Some(p),
             _ => (threads > 1).then(|| WorkerPool::new(threads)),
         };
-        self.woken.clear();
-        self.active.clear();
-        self.work.clear();
-        self.fates.clear();
-        self.charged.clear();
-        Parts {
-            mail,
-            effects: std::mem::take(&mut self.effects),
-            commit,
-            woken: std::mem::take(&mut self.woken),
-            active: std::mem::take(&mut self.active),
-            work: std::mem::take(&mut self.work),
-            fates: std::mem::take(&mut self.fates),
-            charged: std::mem::take(&mut self.charged),
-            pool,
-        }
+        parts.woken.clear();
+        parts.active.clear();
+        parts.work.clear();
+        parts.charged.clear();
+        parts
     }
 
     /// Stores a finished network's buffers for the next taker,
     /// replacing whatever was held before.
-    #[allow(clippy::too_many_arguments)]
     pub(crate) fn store(&mut self, parts: Parts<M>) {
-        self.mail = Some(parts.mail);
-        self.effects = parts.effects;
-        self.commit = parts.commit;
-        self.woken = parts.woken;
-        self.active = parts.active;
-        self.work = parts.work;
-        self.fates = parts.fates;
-        self.charged = parts.charged;
-        self.pool = parts.pool;
+        self.parts = Some(parts);
     }
 }
 

@@ -4,11 +4,12 @@
 //! for every forced `commit_shards` count, on a single-threaded engine
 //! (shards run inline) and across the worker pool alike.
 //!
-//! Only clean rounds shard — no trace, no k-machine layer, no active
-//! adversary. The traced cases below force `commit_shards` too, so they
-//! pin that such rounds fall back to the sequential fold unchanged:
-//! trace order, k-machine link loads and adversarial fault schedules
-//! included.
+//! Every round without an active adversary shards: trace, k-machine
+//! layer and collector are fed after the fold by one observation walk,
+//! so the traced k-machine case pins sharded folds — trace order and
+//! link loads included — against the sequential fold. The adversarial
+//! case forces `commit_shards` too and pins that such rounds keep the
+//! sequential fold's fault schedule unchanged.
 
 use dhc_congest::{
     Adversary, Config, Context, Inbox, MachineMap, MachineRoundLog, Metrics, Network, NodeId,
@@ -148,9 +149,9 @@ const SHARD_COUNTS: [usize; 4] = [1, 2, 3, 7];
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
-    /// Clean rounds — no trace, no k-machine layer, no adversary — are
-    /// the ones that actually shard: forced sharding at every count,
-    /// inline and pooled, equals the sequential fold.
+    /// Detached engine — no trace, no k-machine layer, no adversary:
+    /// forced sharding at every count, inline and pooled, equals the
+    /// sequential fold.
     #[test]
     fn sharded_commit_equals_sequential_untraced(
         scripts in prop::collection::vec(
@@ -173,8 +174,9 @@ proptest! {
         }
     }
 
-    /// Traced engine + k-machine layer: forcing `commit_shards` at every
-    /// count, inline and pooled, keeps the sequential fold's results.
+    /// Traced engine + k-machine layer: these rounds shard too, and the
+    /// sharded fold at every forced count, inline and pooled, yields the
+    /// sequential fold's results, trace events and machine log.
     #[test]
     fn sharded_commit_equals_sequential(
         scripts in prop::collection::vec(

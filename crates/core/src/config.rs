@@ -57,9 +57,9 @@ pub struct DhcConfig {
     /// Shard count for the round engine's commit fold
     /// (`dhc_congest::Config::commit_shards`): `0` (the default)
     /// auto-shards, any other value forces that many shards. Either way
-    /// only clean rounds shard: a trace, the k-machine layer or an
-    /// active adversary keeps every round on the sequential fold (a
-    /// collector does not — it is fed after the fold). Results are
+    /// only an active adversary keeps rounds on the sequential fold;
+    /// trace, k-machine layer and collector are fed after the fold and
+    /// shard like a detached run. Results are
     /// **identical for every value** — the sharded merge reproduces the
     /// sequential fold bit for bit; the knob exists for benchmarking and
     /// the equivalence suites.
